@@ -72,12 +72,12 @@ pub struct MinerStats {
     /// directly comparable across backends — the vertical-vs-diffset
     /// memory axis.
     pub peak_memo_bytes: u64,
-    /// Per-shard kernel evaluations performed by a sharded support engine
-    /// (one per candidate × non-skipped shard; 0 on unsharded runs).
+    /// Always 0: no support engine shards the tid range. Kept for the
+    /// repository benchmark, which reads it, until a benchmark change
+    /// removes it.
     pub shards_evaluated: u64,
-    /// Shard evaluations skipped by the zone maps: shards where an operand
-    /// is provably empty, plus every shard of a candidate the zone
-    /// precheck pruned whole (0 on unsharded runs).
+    /// Always 0, like [`MinerStats::shards_evaluated`]; kept for the
+    /// repository benchmark until a benchmark change removes it.
     pub shards_pruned: u64,
     /// Border itemsets fully re-judged during an incremental window step:
     /// tracked itemsets a dirty transaction touched whose support bounds

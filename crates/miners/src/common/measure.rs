@@ -594,30 +594,24 @@ pub fn mine_level_wise<M: FrequentnessMeasure>(
     measure: M,
     engine: EngineKind,
 ) -> MiningResult {
-    mine_level_wise_with_plan(
-        db,
+    let mut evaluator = MeasureEvaluator {
         measure,
-        engine,
-        ShardPlan::for_transactions(db.num_transactions()),
-    )
+        engine: super::engine::build_engine(engine, db),
+        capture: None,
+    };
+    super::apriori::run_apriori(db, &mut evaluator)
 }
 
-/// [`mine_level_wise`] with an explicit tid-range shard plan for the
-/// support backend. Records are bit-identical for every plan (the sharded
-/// engines' merge is exact); the default plan — a pure function of the
-/// database size — only engages sharding past one default-width shard.
+/// [`mine_level_wise`]; the plan is ignored (every engine evaluates one
+/// shard). Kept for the repository benchmark until a benchmark change
+/// removes it.
 pub fn mine_level_wise_with_plan<M: FrequentnessMeasure>(
     db: &UncertainDatabase,
     measure: M,
     engine: EngineKind,
-    plan: ShardPlan,
+    _plan: ShardPlan,
 ) -> MiningResult {
-    let mut evaluator = MeasureEvaluator {
-        measure,
-        engine: super::engine::build_engine_with_plan(engine, db, plan),
-        capture: None,
-    };
-    super::apriori::run_apriori(db, &mut evaluator)
+    mine_level_wise(db, measure, engine)
 }
 
 /// [`mine_level_wise`], additionally retaining every kept candidate's raw
@@ -635,11 +629,7 @@ pub fn mine_level_wise_captured<M: FrequentnessMeasure>(
 ) -> (MiningResult, Vec<RetainedRecord>) {
     let mut evaluator = MeasureEvaluator {
         measure,
-        engine: super::engine::build_engine_with_plan(
-            engine,
-            db,
-            ShardPlan::for_transactions(db.num_transactions()),
-        ),
+        engine: super::engine::build_engine(engine, db),
         capture: Some(Vec::new()),
     };
     let result = super::apriori::run_apriori(db, &mut evaluator);

@@ -10,6 +10,11 @@
 
 use ufim_core::prelude::*;
 
+/// Deepest array/object nesting the parser accepts. Requests nest two
+/// levels (an object holding arrays); the bound keeps a hostile line of
+/// brackets from recursing the server's stack away.
+const MAX_NESTING: usize = 64;
+
 /// A parsed JSON value. Object keys keep insertion order (`Vec` of pairs),
 /// which is what makes serialization deterministic.
 #[derive(Clone, Debug, PartialEq)]
@@ -85,7 +90,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -117,8 +122,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value nested `depth` arrays/objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth >= MAX_NESTING {
+        return Err(format!("nesting deeper than {MAX_NESTING} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -133,7 +142,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -155,7 +164,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -587,5 +596,24 @@ mod tests {
         }
         assert!(Request::parse(r#"{"op":"nope"}"#).is_err());
         assert!(Request::parse("not json").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!(
+            "{}{}",
+            "[".repeat(MAX_NESTING + 1),
+            "]".repeat(MAX_NESTING + 1)
+        );
+        let err = Json::parse(&over).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_NESTING + 1),
+            "}".repeat(MAX_NESTING + 1)
+        );
+        assert!(Json::parse(&objects).unwrap_err().contains("nesting"));
     }
 }

@@ -609,24 +609,14 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    let mut line = String::new();
+    // Raw bytes, kept across read timeouts: a request line split by a
+    // pause longer than the timeout is completed by the next read, and a
+    // multi-byte character split the same way is never cut.
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let response = core.handle_line(&line);
-                if writer
-                    .write_all(format!("{response}\n").as_bytes())
-                    .and_then(|()| writer.flush())
-                    .is_err()
-                {
-                    break;
-                }
-            }
+        let eof = match reader.read_until(b'\n', &mut line) {
+            Ok(0) => true,
+            Ok(_) => false,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -634,8 +624,26 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
                 if stop.load(Ordering::Relaxed) {
                     break;
                 }
+                continue;
             }
             Err(_) => break,
+        };
+        if !line.trim_ascii().is_empty() {
+            let response = match std::str::from_utf8(&line) {
+                Ok(text) => core.handle_line(text),
+                Err(_) => err_json("request line is not valid UTF-8").to_line(),
+            };
+            if writer
+                .write_all(format!("{response}\n").as_bytes())
+                .and_then(|()| writer.flush())
+                .is_err()
+            {
+                break;
+            }
+        }
+        line.clear();
+        if eof {
+            break;
         }
     }
 }
@@ -762,6 +770,51 @@ mod tests {
         assert_eq!(v.get("resident_entries").unwrap().as_u64(), Some(1));
         let names = v.get("datasets").unwrap().as_arr().unwrap();
         assert_eq!(names[0].as_str(), Some("t1"));
+    }
+
+    #[test]
+    fn deeply_nested_line_is_a_parse_error_not_a_crash() {
+        let core = core_with_table1();
+        let resp = core.handle_line(&"[".repeat(200_000));
+        let v = Json::parse(&resp).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+        assert!(
+            v.get("error")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .contains("nesting"),
+            "{resp}"
+        );
+        // The server keeps answering afterwards.
+        let v = Json::parse(&core.handle_line(r#"{"op":"stats"}"#)).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+    }
+
+    #[test]
+    fn tcp_request_split_across_a_read_timeout_is_answered_whole() {
+        let core = core_with_table1();
+        let Ok(server) = TcpServer::start(Arc::clone(&core), "127.0.0.1:0") else {
+            return; // binding forbidden; see `tcp_roundtrip_matches_in_process`
+        };
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        // A slow client: the pause outlasts the server's 200 ms read
+        // timeout between the two halves of one request line.
+        writer.write_all(br#"{"op":"st"#).unwrap();
+        writer.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(600));
+        writer.write_all(b"ats\"}\n").unwrap();
+        writer.flush().unwrap();
+        let mut got = String::new();
+        reader.read_line(&mut got).unwrap();
+        let v = Json::parse(got.trim_end()).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{got}");
+        assert!(v.get("memo_hits").is_some(), "{got}");
+        drop(writer);
+        drop(reader);
+        server.stop();
     }
 
     #[test]
