@@ -8,10 +8,13 @@
 //! thread cap). `crates/bench/baselines/` keeps checked-in snapshots from
 //! past PRs as the comparison anchor.
 //!
-//! The sanctioned dependency set has no serde, so this module hand-rolls
-//! the (tiny) writer and a strict reader. The reader is a real JSON
-//! parser — `ufim-bench json-check` uses it in CI to prove the emitted
-//! snapshots are actually machine-readable, not just string-shaped.
+//! The sanctioned dependency set has no serde, so snapshots go through the
+//! workspace's one JSON codec, [`ufim_serve::Json`]: [`JsonSnapshot::to_json`]
+//! lays the file out by hand but quotes every string and formats every
+//! float through it, and [`JsonSnapshot::from_json`] parses with it — a
+//! real RFC 8259 parser with a nesting bound, which `ufim-bench
+//! json-check` uses in CI to prove the emitted snapshots are actually
+//! machine-readable, not just string-shaped.
 //!
 //! ## The regression gate
 //!
@@ -38,6 +41,8 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+
+use ufim_serve::Json;
 
 /// One measured run inside a snapshot. `Default` gives every label empty,
 /// every measurement zero and every optional counter absent — experiment
@@ -134,10 +139,13 @@ impl JsonSnapshot {
 
     /// Serializes the snapshot as pretty-printed JSON.
     pub fn to_json(&self) -> String {
+        let text = |s: &str| Json::Str(s.to_string()).to_line();
+        // Measurements are finite; clamp defensively so the file stays JSON.
+        let num = |x: f64| Json::Num(if x.is_finite() { x } else { 0.0 }).to_line();
         let mut s = String::with_capacity(256 + self.runs.len() * 192);
         s.push_str("{\n");
-        let _ = writeln!(s, "  \"experiment\": {},", quote(&self.experiment));
-        let _ = writeln!(s, "  \"scale\": {},", fmt_f64(self.scale));
+        let _ = writeln!(s, "  \"experiment\": {},", text(&self.experiment));
+        let _ = writeln!(s, "  \"scale\": {},", num(self.scale));
         let _ = writeln!(s, "  \"seed\": {},", self.seed);
         let _ = writeln!(s, "  \"threads\": {},", self.threads);
         s.push_str("  \"runs\": [");
@@ -151,10 +159,10 @@ impl JsonSnapshot {
                 "\"workload\": {}, \"algorithm\": {}, \"engine\": {}, \
                  \"wall_ms\": {}, \"peak_bytes\": {}, \"peak_memo_bytes\": {}, \
                  \"intersections\": {}, \"num_itemsets\": {}",
-                quote(&r.workload),
-                quote(&r.algorithm),
-                quote(&r.engine),
-                fmt_f64(r.wall_ms),
+                text(&r.workload),
+                text(&r.algorithm),
+                text(&r.engine),
+                num(r.wall_ms),
                 r.peak_bytes,
                 r.peak_memo_bytes,
                 r.intersections,
@@ -179,7 +187,7 @@ impl JsonSnapshot {
                 ("qps", r.qps),
             ] {
                 if let Some(x) = v {
-                    let _ = write!(s, ", \"{name}\": {}", fmt_f64(x));
+                    let _ = write!(s, ", \"{name}\": {}", num(x));
                 }
             }
             s.push('}');
@@ -218,44 +226,71 @@ impl JsonSnapshot {
     /// A message naming the malformed construct (JSON syntax, a missing or
     /// mistyped field) — suitable for printing from `json-check`.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let (value, rest) = Value::parse(text.trim_start())?;
-        if !rest.trim_start().is_empty() {
-            return Err("trailing content after the top-level object".into());
+        let top = Json::parse(text)?;
+        if !matches!(top, Json::Obj(_)) {
+            return Err("top level: expected an object".into());
         }
-        let top = value.object("top level")?;
-        let runs_value = top_field(&top, "runs")?;
-        let mut runs = Vec::new();
-        for (i, rv) in runs_value.array("runs")?.iter().enumerate() {
-            let r = rv.object(&format!("runs[{i}]"))?;
-            runs.push(JsonRun {
-                workload: top_field(&r, "workload")?.string("workload")?,
-                algorithm: top_field(&r, "algorithm")?.string("algorithm")?,
-                engine: top_field(&r, "engine")?.string("engine")?,
-                wall_ms: top_field(&r, "wall_ms")?.number("wall_ms")?,
-                peak_bytes: top_field(&r, "peak_bytes")?.unsigned("peak_bytes")?,
-                peak_memo_bytes: top_field(&r, "peak_memo_bytes")?.unsigned("peak_memo_bytes")?,
-                intersections: top_field(&r, "intersections")?.unsigned("intersections")?,
-                num_itemsets: top_field(&r, "num_itemsets")?.unsigned("num_itemsets")?,
-                border_rejudged: opt_field(&r, "border_rejudged")?,
-                border_skipped: opt_field(&r, "border_skipped")?,
-                memo_patched: opt_field(&r, "memo_patched")?,
-                memo_rebuilt: opt_field(&r, "memo_rebuilt")?,
-                memo_hits: opt_field(&r, "memo_hits")?,
-                memo_extends: opt_field(&r, "memo_extends")?,
-                latency_p50_ms: opt_float(&r, "latency_p50_ms")?,
-                latency_p95_ms: opt_float(&r, "latency_p95_ms")?,
-                latency_p99_ms: opt_float(&r, "latency_p99_ms")?,
-                qps: opt_float(&r, "qps")?,
-            });
-        }
+        let runs = required(&top, "runs", Json::as_arr)?
+            .iter()
+            .enumerate()
+            .map(|(i, r)| run_from_json(r).map_err(|e| format!("runs[{i}]: {e}")))
+            .collect::<Result<_, _>>()?;
         Ok(JsonSnapshot {
-            experiment: top_field(&top, "experiment")?.string("experiment")?,
-            scale: top_field(&top, "scale")?.number("scale")?,
-            seed: top_field(&top, "seed")?.unsigned("seed")?,
-            threads: top_field(&top, "threads")?.unsigned("threads")?,
+            experiment: required(&top, "experiment", Json::as_str)?.to_string(),
+            scale: required(&top, "scale", Json::as_f64)?,
+            seed: required(&top, "seed", Json::as_u64)?,
+            threads: required(&top, "threads", Json::as_u64)?,
             runs,
         })
     }
+}
+
+/// Reads one entry of a snapshot's `runs` array.
+fn run_from_json(r: &Json) -> Result<JsonRun, String> {
+    Ok(JsonRun {
+        workload: required(r, "workload", Json::as_str)?.to_string(),
+        algorithm: required(r, "algorithm", Json::as_str)?.to_string(),
+        engine: required(r, "engine", Json::as_str)?.to_string(),
+        wall_ms: required(r, "wall_ms", Json::as_f64)?,
+        peak_bytes: required(r, "peak_bytes", Json::as_u64)?,
+        peak_memo_bytes: required(r, "peak_memo_bytes", Json::as_u64)?,
+        intersections: required(r, "intersections", Json::as_u64)?,
+        num_itemsets: required(r, "num_itemsets", Json::as_u64)?,
+        border_rejudged: optional(r, "border_rejudged", Json::as_u64)?,
+        border_skipped: optional(r, "border_skipped", Json::as_u64)?,
+        memo_patched: optional(r, "memo_patched", Json::as_u64)?,
+        memo_rebuilt: optional(r, "memo_rebuilt", Json::as_u64)?,
+        memo_hits: optional(r, "memo_hits", Json::as_u64)?,
+        memo_extends: optional(r, "memo_extends", Json::as_u64)?,
+        latency_p50_ms: optional(r, "latency_p50_ms", Json::as_f64)?,
+        latency_p95_ms: optional(r, "latency_p95_ms", Json::as_f64)?,
+        latency_p99_ms: optional(r, "latency_p99_ms", Json::as_f64)?,
+        qps: optional(r, "qps", Json::as_f64)?,
+    })
+}
+
+/// Reads field `name` of `obj` with one of [`Json`]'s `as_*` accessors:
+/// absent is `None` (snapshots written before a counter existed stay
+/// parseable), present but mistyped is an error naming the field.
+fn optional<'a, T>(
+    obj: &'a Json,
+    name: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    obj.get(name)
+        .map(|v| {
+            read(v).ok_or_else(|| format!("field {name:?} has the wrong type: {}", v.to_line()))
+        })
+        .transpose()
+}
+
+/// [`optional`] for a field every snapshot carries.
+fn required<'a, T>(
+    obj: &'a Json,
+    name: &str,
+    read: impl Fn(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    optional(obj, name, read)?.ok_or_else(|| format!("missing field {name:?}"))
 }
 
 /// Validates one snapshot file, returning a one-line summary.
@@ -264,10 +299,7 @@ impl JsonSnapshot {
 /// Propagates I/O and [`JsonSnapshot::from_json`] failures with the path
 /// prepended.
 pub fn check_file(path: &Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    let snap = JsonSnapshot::from_json(&text)
-        .map_err(|e| format!("{}: invalid snapshot: {e}", path.display()))?;
+    let snap = load_snapshot(path)?;
     Ok(format!(
         "{}: ok — experiment {:?}, {} runs, scale {}, threads {}",
         path.display(),
@@ -284,27 +316,10 @@ pub fn check_file(path: &Path) -> Result<String, String> {
 /// # Errors
 /// The first file-level failure, or a complaint about an empty directory.
 pub fn check_path(path: &Path) -> Result<Vec<String>, String> {
-    if path.is_dir() {
-        let mut entries: Vec<PathBuf> = std::fs::read_dir(path)
-            .map_err(|e| format!("{}: cannot read dir: {e}", path.display()))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| {
-                p.file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
-            })
-            .collect();
-        entries.sort();
-        if entries.is_empty() {
-            return Err(format!(
-                "{}: no BENCH_*.json snapshots found",
-                path.display()
-            ));
-        }
-        entries.iter().map(|p| check_file(p)).collect()
-    } else {
-        Ok(vec![check_file(path)?])
-    }
+    snapshot_files(path)?
+        .iter()
+        .map(|p| check_file(p))
+        .collect()
 }
 
 /// Default `--tolerance-pct` for [`compare_paths`]: wall-clock drift
@@ -571,235 +586,6 @@ fn load_snapshot(path: &Path) -> Result<JsonSnapshot, String> {
     JsonSnapshot::from_json(&text).map_err(|e| format!("{}: invalid snapshot: {e}", path.display()))
 }
 
-/// JSON-escapes and quotes a string (the labels this crate emits are
-/// ASCII, but escape defensively).
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an f64 so it round-trips as a JSON number (never NaN/inf —
-/// measurements are finite; clamp defensively).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        // `{}` prints integral floats without a dot; keep them numbers
-        // either way (JSON has one number type), nothing to fix.
-        s
-    } else {
-        "0".into()
-    }
-}
-
-/// A parsed JSON value — the minimal model the snapshot reader needs.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Number(f64),
-    String(String),
-    Array(Vec<Value>),
-    Object(Vec<(String, Value)>),
-}
-
-/// Looks a field up in a parsed object.
-fn top_field<'a>(obj: &'a [(String, Value)], name: &str) -> Result<&'a Value, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field {name:?}"))
-}
-
-/// Looks an *optional* unsigned counter up: absent is `None` (snapshots
-/// written before the field existed stay parseable), present must still be
-/// a well-formed unsigned integer.
-fn opt_field(obj: &[(String, Value)], name: &str) -> Result<Option<u64>, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.unsigned(name))
-        .transpose()
-}
-
-/// The floating-point sibling of [`opt_field`]: absent is `None`, present
-/// must be a well-formed JSON number.
-fn opt_float(obj: &[(String, Value)], name: &str) -> Result<Option<f64>, String> {
-    obj.iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.number(name))
-        .transpose()
-}
-
-impl Value {
-    fn object(&self, ctx: &str) -> Result<Vec<(String, Value)>, String> {
-        match self {
-            Value::Object(fields) => Ok(fields.clone()),
-            other => Err(format!("{ctx}: expected an object, got {other:?}")),
-        }
-    }
-
-    fn array(&self, ctx: &str) -> Result<&[Value], String> {
-        match self {
-            Value::Array(items) => Ok(items),
-            other => Err(format!("{ctx}: expected an array, got {other:?}")),
-        }
-    }
-
-    fn string(&self, ctx: &str) -> Result<String, String> {
-        match self {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(format!("{ctx}: expected a string, got {other:?}")),
-        }
-    }
-
-    fn number(&self, ctx: &str) -> Result<f64, String> {
-        match self {
-            Value::Number(n) => Ok(*n),
-            other => Err(format!("{ctx}: expected a number, got {other:?}")),
-        }
-    }
-
-    fn unsigned(&self, ctx: &str) -> Result<u64, String> {
-        let n = self.number(ctx)?;
-        if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 {
-            Ok(n as u64)
-        } else {
-            Err(format!("{ctx}: expected an unsigned integer, got {n}"))
-        }
-    }
-
-    /// Recursive-descent parse of one value; returns the remainder.
-    fn parse(s: &str) -> Result<(Value, &str), String> {
-        let s = s.trim_start();
-        let mut chars = s.chars();
-        match chars.next() {
-            None => Err("unexpected end of input".into()),
-            Some('n') => s
-                .strip_prefix("null")
-                .map(|r| (Value::Null, r))
-                .ok_or_else(|| "bad literal (expected null)".into()),
-            Some('t') => s
-                .strip_prefix("true")
-                .map(|r| (Value::Bool(true), r))
-                .ok_or_else(|| "bad literal (expected true)".into()),
-            Some('f') => s
-                .strip_prefix("false")
-                .map(|r| (Value::Bool(false), r))
-                .ok_or_else(|| "bad literal (expected false)".into()),
-            Some('"') => Self::parse_string(&s[1..]),
-            Some('[') => {
-                let mut rest = s[1..].trim_start();
-                let mut items = Vec::new();
-                if let Some(r) = rest.strip_prefix(']') {
-                    return Ok((Value::Array(items), r));
-                }
-                loop {
-                    let (v, r) = Self::parse(rest)?;
-                    items.push(v);
-                    rest = r.trim_start();
-                    if let Some(r) = rest.strip_prefix(',') {
-                        rest = r;
-                    } else if let Some(r) = rest.strip_prefix(']') {
-                        return Ok((Value::Array(items), r));
-                    } else {
-                        return Err("expected ',' or ']' in array".into());
-                    }
-                }
-            }
-            Some('{') => {
-                let mut rest = s[1..].trim_start();
-                let mut fields = Vec::new();
-                if let Some(r) = rest.strip_prefix('}') {
-                    return Ok((Value::Object(fields), r));
-                }
-                loop {
-                    rest = rest.trim_start();
-                    let Some(r) = rest.strip_prefix('"') else {
-                        return Err("expected a quoted object key".into());
-                    };
-                    let (key, r) = Self::parse_string(r)?;
-                    let Value::String(key) = key else {
-                        unreachable!("parse_string returns strings")
-                    };
-                    let r = r.trim_start();
-                    let Some(r) = r.strip_prefix(':') else {
-                        return Err(format!("expected ':' after key {key:?}"));
-                    };
-                    let (v, r) = Self::parse(r)?;
-                    fields.push((key, v));
-                    rest = r.trim_start();
-                    if let Some(r) = rest.strip_prefix(',') {
-                        rest = r;
-                    } else if let Some(r) = rest.strip_prefix('}') {
-                        return Ok((Value::Object(fields), r));
-                    } else {
-                        return Err("expected ',' or '}' in object".into());
-                    }
-                }
-            }
-            Some(c) if c == '-' || c.is_ascii_digit() => {
-                let end = s
-                    .char_indices()
-                    .find(|&(_, c)| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-                    .map_or(s.len(), |(i, _)| i);
-                let (num, rest) = s.split_at(end);
-                num.parse::<f64>()
-                    .map(|n| (Value::Number(n), rest))
-                    .map_err(|_| format!("bad number {num:?}"))
-            }
-            Some(c) => Err(format!("unexpected character {c:?}")),
-        }
-    }
-
-    /// Parses the remainder of a string literal (the opening quote is
-    /// consumed by the caller).
-    fn parse_string(s: &str) -> Result<(Value, &str), String> {
-        let mut out = String::new();
-        let mut chars = s.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => return Ok((Value::String(out), &s[i + 1..])),
-                '\\' => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((j, 'u')) => {
-                        let hex = s.get(j + 1..j + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        // Skip the 4 hex digits.
-                        for _ in 0..4 {
-                            chars.next();
-                        }
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,6 +664,19 @@ mod tests {
     }
 
     #[test]
+    fn parser_handles_nested_and_escaped_values() {
+        // Whitespace-laden nesting, a `\u` escape and an exponent, through
+        // the codec `from_json` parses with.
+        let v = Json::parse("{\"a\": [1, {\"b\": \"x\\u0021\"}, true, null], \"c\": -2.5e1}  ")
+            .unwrap();
+        assert_eq!(v.get("c").unwrap().as_f64(), Some(-25.0));
+        let a = v.get("a").unwrap().as_arr().unwrap();
+        assert_eq!(a[0].as_f64(), Some(1.0));
+        assert_eq!(a[1].get("b").unwrap().as_str(), Some("x!"));
+        assert_eq!(Json::parse(&v.to_line()).unwrap(), v);
+    }
+
+    #[test]
     fn write_and_check_file() {
         let dir = std::env::temp_dir().join(format!("ufim-json-test-{}", std::process::id()));
         let path = sample().write(&dir).unwrap();
@@ -891,6 +690,32 @@ mod tests {
         std::fs::create_dir_all(&empty).unwrap();
         assert!(check_path(&empty).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn deeply_nested_snapshot_is_an_error_not_a_crash() {
+        let dir = std::env::temp_dir().join(format!("ufim-json-deep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("BENCH_deep.json"), "[".repeat(200_000)).unwrap();
+        let err = check_path(&dir).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checked_in_baselines_roundtrip_byte_for_byte() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines");
+        let files = snapshot_files(&dir).unwrap();
+        assert!(files.len() >= 6, "{files:?}");
+        for path in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let snap = JsonSnapshot::from_json(&text).unwrap();
+            assert!(
+                snap.to_json() == text,
+                "{} changes on rewrite",
+                path.display()
+            );
+        }
     }
 
     #[test]
@@ -1067,20 +892,5 @@ mod tests {
         compare_snapshots("s", &old, &fresh, 200.0, &mut report);
         assert!(report.passed(), "failures: {:?}", report.failures);
         assert!(report.warnings.is_empty(), "{:?}", report.warnings);
-    }
-
-    #[test]
-    fn parser_handles_nested_and_escaped_values() {
-        let (v, rest) =
-            Value::parse("{\"a\": [1, {\"b\": \"x\\u0021\"}, true, null], \"c\": -2.5e1}  ")
-                .unwrap();
-        assert_eq!(rest.trim(), "");
-        let obj = v.object("t").unwrap();
-        assert_eq!(top_field(&obj, "c").unwrap().number("c").unwrap(), -25.0);
-        let arr = top_field(&obj, "a").unwrap().clone();
-        let arr = arr.array("a").unwrap();
-        assert_eq!(arr[0].number("0").unwrap(), 1.0);
-        let inner = arr[1].object("1").unwrap();
-        assert_eq!(top_field(&inner, "b").unwrap().string("b").unwrap(), "x!");
     }
 }

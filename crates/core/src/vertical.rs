@@ -99,17 +99,20 @@
 //! pays an (exactly-sized) allocation when it survives pruning and its
 //! result is exported into a memo.
 //!
-//! ## Bounded (early-exit) kernels
+//! ## Bounded (early-exit) kernel
 //!
-//! [`ProbVector::intersect_stats_bounded`] and
-//! [`ProbVector::intersect_into_bounded`] accept the prefix's own mass and
-//! a support threshold and may stop at a summation-block boundary once the
-//! folded partial plus the unconsumed prefix mass proves the result below
-//! the threshold. Until a bail fires the computation is *identical* to the
-//! unbounded kernels, and bail points are a pure function of the operands
-//! — never of thread count or evaluation order — so the determinism
-//! guarantee survives the pushdown: results are decision-equivalent below
-//! the threshold and bit-identical at or above it.
+//! [`ProbVector::intersect_stats_bounded`] is the one bounded kernel. It
+//! accepts the prefix's own mass and a support threshold and may stop at a
+//! summation-block boundary once the folded partial plus the unconsumed
+//! prefix mass proves the result below the threshold. The support engines'
+//! stats-first pushdown (`evaluate_pushdown` in `ufim-miners`) calls it for
+//! every candidate whose prefix mass is on record, then materializes only
+//! the survivors with [`ProbVector::intersect_materialize_into`]. Until a
+//! bail fires the computation is *identical* to the unbounded kernel, and
+//! bail points are a pure function of the operands — never of thread
+//! count or evaluation order — so the determinism guarantee survives the
+//! pushdown: results are decision-equivalent below the threshold and
+//! bit-identical at or above it.
 
 use crate::database::UncertainDatabase;
 use crate::itemset::ItemId;
@@ -1198,37 +1201,6 @@ impl ProbVector {
     pub fn intersect_materialize_into(&self, other: &ProbVector, scratch: &mut ScratchSpace) {
         intersect_kernel::<false, true, false>(self, other, Some(&mut scratch.out), true, None);
     }
-
-    /// [`ProbVector::intersect_into`] that may stop early once the result
-    /// is provably below `min_esup` — the materializing twin of
-    /// [`ProbVector::intersect_stats_bounded`] and the engines' pushdown
-    /// workhorse: one walk yields a candidate's moments *and* its vector,
-    /// with hopeless candidates cut off at the first summation block that
-    /// rules them out.
-    ///
-    /// Decision equivalence is exactly as for
-    /// [`ProbVector::intersect_stats_bounded`]: whenever the true esup is
-    /// ≥ `min_esup` no bail can fire, the returned tuple is bit-identical
-    /// to [`ProbVector::intersect_into`]'s and the scratch holds the
-    /// complete result vector. When a bail fires the returned partial sums
-    /// are themselves < `min_esup` — the caller will discard the candidate
-    /// — and the scratch contents are unspecified (a prefix of the result;
-    /// callers must not export them).
-    pub fn intersect_into_bounded(
-        &self,
-        other: &ProbVector,
-        scratch: &mut ScratchSpace,
-        self_mass: f64,
-        min_esup: f64,
-    ) -> (f64, f64, usize) {
-        intersect_kernel::<true, true, true>(
-            self,
-            other,
-            Some(&mut scratch.out),
-            true,
-            Some((self_mass, min_esup)),
-        )
-    }
 }
 
 impl PartialEq for ProbVector {
@@ -1615,7 +1587,7 @@ fn intersect_kernel<const STATS: bool, const MAT: bool, const BOUNDED: bool>(
     allow_fast: bool,
     bound: Option<(f64, f64)>,
 ) -> (f64, f64, usize) {
-    debug_assert!(STATS || !BOUNDED, "bounded runs need statistics");
+    debug_assert!((STATS && !MAT) || !BOUNDED, "bounded runs are stats-only");
     debug_assert_eq!(MAT, out.is_some());
     debug_assert_eq!(BOUNDED, bound.is_some());
     let kcap = a.keys.len().min(b.keys.len());
@@ -2482,10 +2454,9 @@ mod tests {
         assert_eq!(mat.nonzero(), want.kept, "materialize_into");
         assert_eq!(mat.mem_bytes(), got.mem_bytes(), "materialize_into layout");
 
-        // Bounded twins. With the threshold at the exact true esup no bail
-        // can fire (the remaining-mass bound never under-estimates), so
-        // both bounded kernels must be bit-identical to their unbounded
-        // twins. With an unreachable threshold a bail may fire and the
+        // Bounded kernel. With the threshold at the exact true esup no bail
+        // can fire (the remaining-mass bound never under-estimates), so it
+        // must be bit-identical to its unbounded twin. With an unreachable threshold a bail may fire and the
         // contract is decision equivalence: the partial sums returned stay
         // below the threshold and never exceed the true esup (nonnegative
         // summands keep every rounded prefix sum ≤ the rounded total).
@@ -2494,11 +2465,6 @@ mod tests {
         assert_eq!(e.to_bits(), want.esup.to_bits(), "stats_bounded esup");
         assert_eq!(v.to_bits(), want.var.to_bits(), "stats_bounded var");
         assert_eq!(c, want.count);
-        let (e, v, c) = a.intersect_into_bounded(&b, &mut scratch, mass, want.esup);
-        assert_eq!(e.to_bits(), want.esup.to_bits(), "into_bounded esup");
-        assert_eq!(v.to_bits(), want.var.to_bits(), "into_bounded var");
-        assert_eq!(c, want.count);
-        assert_eq!(scratch.export().nonzero(), want.kept, "into_bounded vector");
         let hopeless = want.esup + mass + 1.0;
         let (e, _, _) = a.intersect_stats_bounded(&b, mass, hopeless);
         assert!(e < hopeless, "bailed stats stay below the threshold");

@@ -33,7 +33,11 @@
 //!
 //! ## Protocol
 //!
-//! One JSON object per line, hand-rolled (no serde) — see [`proto`]:
+//! One JSON object per line, hand-rolled (no serde) — see [`proto`].
+//! [`Json`] is the workspace's one JSON codec: it reads every RFC 8259
+//! escape, escapes every control character it writes, bounds nesting at
+//! 64, and `ufim-bench` reads and writes its `BENCH_*.json` snapshots
+//! through it too.
 //!
 //! ```text
 //! {"op":"load","name":"g","benchmark":"gazelle","scale":0.05,"seed":42}

@@ -1,18 +1,27 @@
-//! The wire protocol: one JSON object per line, hand-rolled (no serde).
+//! The workspace's one JSON codec, and the wire protocol built on it:
+//! one JSON object per line, hand-rolled (no serde).
 //!
 //! Requests and responses are single-line JSON objects terminated by
-//! `'\n'`. The parser is a minimal recursive-descent reader over the JSON
-//! subset the protocol uses (objects, arrays, strings with basic escapes,
-//! numbers, booleans, null); the writer emits keys in insertion order and
-//! formats floats with Rust's shortest-round-trip `Display`, so a response
-//! built from the same records is always the same byte sequence — the
-//! property the concurrency isolation tests assert on.
+//! `'\n'`. [`Json::parse`] is a recursive-descent reader over the full
+//! RFC 8259 value grammar: objects, arrays, strings with every escape
+//! (`\b`, `\f` and `\uXXXX` included, a surrogate pair decoding to one
+//! char), numbers, booleans and null, nested at most `MAX_NESTING` (64)
+//! deep. The writer emits keys in insertion order, escapes every control
+//! character below U+0020 (`\n`, `\t`, `\r` in short form, the rest as
+//! `\u00XX`) and formats floats with Rust's shortest-round-trip `Display`,
+//! so a response built from the same records is always the same byte
+//! sequence — the property the concurrency isolation tests assert on. The
+//! benchmark harness reads and writes its `BENCH_*.json` snapshots through
+//! the same [`Json`], so the nesting bound protects `ufim-bench json-check`
+//! as well.
+
+use std::fmt::Write as _;
 
 use ufim_core::prelude::*;
 
 /// Deepest array/object nesting the parser accepts. Requests nest two
-/// levels (an object holding arrays); the bound keeps a hostile line of
-/// brackets from recursing the server's stack away.
+/// levels (an object holding arrays), snapshots three; the bound keeps a
+/// hostile line of brackets from recursing the stack away.
 const MAX_NESTING: usize = 64;
 
 /// A parsed JSON value. Object keys keep insertion order (`Vec` of pairs),
@@ -199,38 +208,68 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
     *pos += 1;
     let mut out = String::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
+    loop {
+        // Copy the run up to the next quote or backslash in one go; both
+        // are ASCII, so the run ends on a char boundary.
+        let start = *pos;
+        while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|_| "invalid UTF-8")?);
+        match b.get(*pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => {
                 *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                }
+                return Ok(out);
             }
-            _ => {
-                // Re-slice to keep multi-byte UTF-8 sequences intact.
-                let start = *pos - 1;
-                let mut end = *pos;
-                while end < b.len() && b[end] >= 0x80 {
-                    end += 1;
-                }
-                out.push_str(
-                    std::str::from_utf8(&b[start..end]).map_err(|_| "invalid UTF-8".to_string())?,
-                );
-                *pos = end;
+            Some(_) => {
+                *pos += 1;
+                out.push(parse_escape(b, pos)?);
             }
         }
     }
-    Err("unterminated string".into())
+}
+
+/// Decodes the escape after a backslash; a `\u` high surrogate must be
+/// followed by an escaped low one, and the pair decodes to one char.
+fn parse_escape(b: &[u8], pos: &mut usize) -> Result<char, String> {
+    let esc = b.get(*pos).copied().ok_or("unterminated escape")?;
+    *pos += 1;
+    Ok(match esc {
+        b'"' => '"',
+        b'\\' => '\\',
+        b'/' => '/',
+        b'b' => '\u{8}',
+        b'f' => '\u{c}',
+        b'n' => '\n',
+        b'r' => '\r',
+        b't' => '\t',
+        b'u' => {
+            let at = *pos;
+            let mut code = parse_hex4(b, pos)?;
+            if (0xD800..0xDC00).contains(&code) && b[*pos..].starts_with(b"\\u") {
+                *pos += 2;
+                let low = parse_hex4(b, pos)?;
+                if !(0xDC00..0xE000).contains(&low) {
+                    return Err(format!("lone surrogate escape at byte {at}"));
+                }
+                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            }
+            char::from_u32(code).ok_or_else(|| format!("lone surrogate escape at byte {at}"))?
+        }
+        other => return Err(format!("unsupported escape '\\{}'", other as char)),
+    })
+}
+
+/// Reads the four hex digits of a `\u` escape.
+fn parse_hex4(b: &[u8], pos: &mut usize) -> Result<u32, String> {
+    let code = b
+        .get(*pos..*pos + 4)
+        .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+        .and_then(|h| u32::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok())
+        .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+    *pos += 4;
+    Ok(code)
 }
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -292,6 +331,9 @@ fn write_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
+            c if c < '\u{20}' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             _ => out.push(c),
         }
     }
@@ -552,6 +594,45 @@ mod tests {
         assert_eq!(v.get("pft").unwrap().as_f64(), Some(0.7));
         let reparsed = Json::parse(&v.to_line()).unwrap();
         assert_eq!(v, reparsed);
+    }
+
+    #[test]
+    fn every_rfc_8259_escape_decodes() {
+        let r = Request::parse(
+            r#"{"op":"load","name":"a\b\f\/\u00e9\ud83d\ude00","benchmark":"x\"\\\n\r\t"}"#,
+        )
+        .unwrap();
+        match r {
+            Request::Load {
+                name, benchmark, ..
+            } => {
+                assert_eq!(name, "a\u{8}\u{c}/\u{e9}\u{1f600}");
+                assert_eq!(benchmark, "x\"\\\n\r\t");
+            }
+            other => panic!("{other:?}"),
+        }
+        for lone in [
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\ud800\u0041""#,
+            r#""\udc00""#,
+        ] {
+            let err = Json::parse(lone).unwrap_err();
+            assert!(err.contains("surrogate"), "{lone}: {err}");
+        }
+        for bad in [r#""\u12""#, r#""\u+041""#, r#""\x""#] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn control_characters_are_escaped_on_the_wire() {
+        let all: String = (0u8..0x20).map(char::from).collect();
+        let line = Json::Str(all.clone()).to_line();
+        assert!(line.bytes().all(|b| b >= 0x20), "{line:?}");
+        assert!(line.starts_with(r#""\u0000\u0001"#), "{line}");
+        assert!(line.contains(r#"\u0008\t\n\u000b\u000c\r\u000e"#), "{line}");
+        assert_eq!(Json::parse(&line).unwrap().as_str(), Some(all.as_str()));
     }
 
     #[test]

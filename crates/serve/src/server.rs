@@ -792,6 +792,19 @@ mod tests {
     }
 
     #[test]
+    fn raw_control_bytes_are_echoed_escaped() {
+        let core = core_with_table1();
+        let resp = core.handle_line(
+            "{\"op\":\"sweep\",\"dataset\":\"a\u{1}b\",\"measure\":\"esup\",\"pft\":0.7,\"thresholds\":[0.5]}",
+        );
+        assert!(resp.bytes().all(|b| b >= 0x20), "{resp:?}");
+        let v = Json::parse(&resp).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+        let error = v.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("'a\u{1}b'"), "{error:?}");
+    }
+
+    #[test]
     fn tcp_request_split_across_a_read_timeout_is_answered_whole() {
         let core = core_with_table1();
         let Ok(server) = TcpServer::start(Arc::clone(&core), "127.0.0.1:0") else {
