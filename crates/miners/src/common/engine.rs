@@ -57,6 +57,18 @@
 //! whole level), kept for the repository benchmark's delegating wrapper
 //! until a benchmark change drops it; no backend overrides them.
 //!
+//! ## One evaluation arm
+//!
+//! [`VerticalEngine::evaluate`] has one arm for every request, bounded or
+//! not, batch or streaming. In streaming mode a candidate whose retained
+//! memo node carries block partials is answered by folding them; every
+//! other candidate is a *miss*. Misses are evaluated tiled by last item:
+//! a sequential survival pilot (only under an esup bound) picks the
+//! stats-first or fused walk shape, and the rest run in parallel through
+//! one pushdown visit each. Results scatter back to candidate order, and
+//! each non-singleton miss is charged one intersection, plus one per
+//! second (materialization) walk.
+//!
 //! ## Scratch spaces
 //!
 //! Both columnar backends run their per-candidate kernels through the
@@ -348,17 +360,6 @@ impl SupportEngine for HorizontalScan<'_> {
 /// vertical backend stays sequential (shared with the horizontal scans).
 const PAR_MIN_WORK: usize = ufim_core::parallel::DEFAULT_MIN_WORK;
 
-/// The point updates one window step implies for a retained node of
-/// `items`: `(tid, new containment probability)` for every dirty slot
-/// whose probability actually changed, ascending by tid. The memoized
-/// vector's value at a tid equals the probe's old-row product bit for bit
-/// (both are the same ascending left-fold), so the bitwise filter detects
-/// untouched nodes exactly like the border tracker does — an empty return
-/// means the node is already byte-identical to a rebuild.
-fn itemset_updates(probe: &StepProbe, items: &[ItemId]) -> Vec<(u32, f64)> {
-    probe.updates(items)
-}
-
 /// The ascending, deduplicated summation-block keys a batch of point
 /// updates touches — the blocks [`BlockMoments::refresh`] must recompute.
 fn touched_block_keys(updates: &[(u32, f64)]) -> Vec<u32> {
@@ -505,171 +506,129 @@ impl SupportEngine for VerticalEngine {
             return out;
         }
 
-        // Parallel across candidates: each intersection reads only the
-        // index and the previous level's memo, through a per-worker
-        // scratch (see the module docs — evaluation allocates only for
-        // candidates whose vector enters the memo).
-        let mean_units = self.index.mean_posting_units();
+        // Streaming refreshes answer the candidates the patch walk kept
+        // current in the retained memo straight from their per-block
+        // partials — the payoff of memo-preserving delta evaluation: the
+        // fold combines the already-maintained block sums, bit-identical
+        // to the cold re-fold a fresh intersection would feed the same
+        // accumulator shape. Every other candidate (all of them in batch
+        // mode) is a miss and pays one walk.
         let (index, prev) = (&self.index, &self.prev);
-
-        if want.min_esup.is_some() || want.min_count.is_some() {
-            stats.intersections += candidates.iter().filter(|c| c.len() > 1).count() as u64;
-            // Pushdown strategy: each candidate is visited once, fusing
-            // statistics and (survivors-only) materialization — see
-            // `evaluate_pushdown` for the bounded / unbounded split. Either
-            // way candidates the thresholds rule out never allocate, and on
-            // candidate-heavy final levels, where (almost) nothing
-            // survives, evaluation degenerates to bounded stats probes that
-            // bail at the first summation block ruling them out.
-            // The bounded kernel only proves "esup below threshold"; when a
-            // count bound is also in play, partial counts could shift which
-            // prune verdict fires, so it stays off.
-            let esup_bound = if want.min_count.is_none() {
-                want.min_esup
+        let mut warm = Vec::new();
+        let mut order: Vec<u32> = Vec::with_capacity(candidates.len());
+        for (i, c) in candidates.iter().enumerate() {
+            let node = if self.streaming {
+                prev.get(c.items()).and_then(|n| n.moments.as_ref())
             } else {
                 None
             };
-            // Evaluate tiled by last item, not in candidate order: all
-            // candidates whose last items fall in one tile of
-            // `LAST_ITEM_TILE` consecutive ids are evaluated together,
-            // sorted by prefix within the tile. The tile's postings vectors
-            // — the fattest operands — fit in cache and stay resident,
-            // while each prefix vector's reads land back-to-back (one
-            // DRAM stream-in, then hits) instead of once per last-item
-            // group. (Raw candidate order interleaves last items, which
-            // re-streams a different postings vector per candidate; on the
-            // dense anchor that traffic costs more than the arithmetic.)
-            // Results are scattered back to candidate order — per-candidate
-            // sums don't depend on evaluation order.
-            const LAST_ITEM_TILE: u32 = 8;
-            let mut order: Vec<u32> = (0..candidates.len() as u32).collect();
-            order.sort_by_key(|&i| {
-                let items = candidates[i as usize].items();
-                let (last, prefix) = items.split_last().expect("candidates are non-empty");
-                (last / LAST_ITEM_TILE, prefix, *last)
-            });
-            // Levels split into two regimes: candidate-heavy final levels
-            // where (almost) nothing survives — the stats-first bounded
-            // shape wins because pruned candidates bail early and never
-            // touch output buffers — and survivor-heavy middle levels where
-            // stats-first pays a *second* materialization walk per survivor
-            // for nothing. Which regime a level is in can't be known up
-            // front, so probe it: evaluate the first `PILOT_CANDIDATES`
-            // (in evaluation order, sequentially) stats-first, and switch
-            // the remainder to the fused single-walk shape iff a majority
-            // survived. The pilot is a pure function of the candidate data,
-            // so the mode — and with it every counter — is identical across
-            // thread counts; either shape returns bit-identical moments and
-            // vectors for survivors, so results never depend on the choice.
-            const PILOT_CANDIDATES: usize = 64;
-            let pilot_len = if esup_bound.is_some() {
-                order.len().min(PILOT_CANDIDATES)
-            } else {
-                0
-            };
-            let mut pilot_results = Vec::with_capacity(pilot_len);
-            let fused = {
-                let mut scratch = ScratchSpace::new();
-                let mut survivors = 0usize;
-                for &i in &order[..pilot_len] {
-                    let r = evaluate_pushdown(
-                        index,
-                        prev,
-                        &candidates[i as usize],
-                        &mut scratch,
-                        esup_bound,
-                        want.min_esup,
-                        want.min_count,
-                        false,
-                    );
-                    survivors += r.1.is_some() as usize;
-                    pilot_results.push(r);
-                }
-                2 * survivors > pilot_len
-            };
-            let rest = par_map_min_len_with(
-                &order[pilot_len..],
-                mean_units.max(1),
-                PAR_MIN_WORK,
-                ScratchSpace::new,
-                |scratch, &i| {
-                    evaluate_pushdown(
-                        index,
-                        prev,
-                        &candidates[i as usize],
-                        scratch,
-                        esup_bound,
-                        want.min_esup,
-                        want.min_count,
-                        fused,
-                    )
-                },
-            );
-            let results = pilot_results.into_iter().chain(rest);
-            let mut moments = vec![(0.0f64, 0.0f64, 0usize); candidates.len()];
-            let mut second_walks = 0u64;
-            for (&i, (m, vector, double_walked)) in order.iter().zip(results) {
-                moments[i as usize] = m;
-                second_walks += double_walked as u64;
-                if let Some(vector) = vector {
-                    self.current
-                        .insert(candidates[i as usize].items().to_vec(), vector);
-                }
+            match node {
+                Some(m) => warm.push((i, m.fold())),
+                None => order.push(i as u32),
             }
-            // Bounded survivors spend a second (materialization) walk on
-            // top of the blanket one-per-candidate charge above.
-            stats.intersections += second_walks;
-            for (esup, var, count) in moments {
-                record(&mut out, esup, var, count);
-            }
+        }
+        stats.intersections += order
+            .iter()
+            .filter(|&&i| candidates[i as usize].len() > 1)
+            .count() as u64;
+        // Each miss is visited once, fusing statistics and (survivors-only)
+        // materialization — see `evaluate_pushdown` for the bounded /
+        // unbounded split. Candidates the thresholds rule out never
+        // allocate, and on candidate-heavy final levels, where (almost)
+        // nothing survives, evaluation degenerates to bounded stats probes
+        // that bail at the first summation block ruling them out.
+        // The bounded kernel only proves "esup below threshold"; when a
+        // count bound is also in play, partial counts could shift which
+        // prune verdict fires, so it stays off.
+        let esup_bound = if want.min_count.is_none() {
+            want.min_esup
         } else {
-            // Streaming refreshes take this unbounded arm. Candidates the
-            // patch walk kept current in the retained memo are answered
-            // straight from their per-block partials — the payoff of
-            // memo-preserving delta evaluation: the fold combines the
-            // already-maintained block sums, bit-identical to the cold
-            // re-fold a fresh intersection would feed the same accumulator
-            // shape. Only memo misses pay an intersection (and only they
-            // are charged one).
-            let streaming = self.streaming;
-            let folded: Vec<Option<(f64, f64, usize)>> = candidates
-                .iter()
-                .map(|c| {
-                    if !streaming {
-                        return None;
-                    }
-                    prev.get(c.items())
-                        .and_then(|n| n.moments.as_ref())
-                        .map(BlockMoments::fold)
-                })
-                .collect();
-            let misses: Vec<u32> = (0..candidates.len() as u32)
-                .filter(|&i| folded[i as usize].is_none())
-                .collect();
-            stats.intersections += misses
-                .iter()
-                .filter(|&&i| candidates[i as usize].len() > 1)
-                .count() as u64;
-            let results = par_map_min_len_with(
-                &misses,
-                mean_units.max(1),
-                PAR_MIN_WORK,
-                ScratchSpace::new,
-                |scratch, &i| evaluate_with(index, prev, &candidates[i as usize], scratch),
-            );
-            let mut fresh: FxHashMap<u32, (f64, f64, usize)> = FxHashMap::default();
-            for (&i, (vector, esup, var, count)) in misses.iter().zip(results) {
-                fresh.insert(i, (esup, var, count));
+            None
+        };
+        // Evaluate tiled by last item, not in candidate order: all
+        // candidates whose last items fall in one tile of
+        // `LAST_ITEM_TILE` consecutive ids are evaluated together, sorted
+        // by prefix within the tile. The tile's postings vectors — the
+        // fattest operands — fit in cache and stay resident, while each
+        // prefix vector's reads land back-to-back (one DRAM stream-in,
+        // then hits) instead of once per last-item group. (Raw candidate
+        // order interleaves last items, which re-streams a different
+        // postings vector per candidate; on the dense anchor that traffic
+        // costs more than the arithmetic.) Results are scattered back to
+        // candidate order — per-candidate sums don't depend on evaluation
+        // order.
+        const LAST_ITEM_TILE: u32 = 8;
+        order.sort_by_key(|&i| {
+            let items = candidates[i as usize].items();
+            let (last, prefix) = items.split_last().expect("candidates are non-empty");
+            (last / LAST_ITEM_TILE, prefix, *last)
+        });
+        // Bounded levels split into two regimes: candidate-heavy final
+        // levels where (almost) nothing survives — the stats-first bounded
+        // shape wins because pruned candidates bail early and never touch
+        // output buffers — and survivor-heavy middle levels where
+        // stats-first pays a *second* materialization walk per survivor
+        // for nothing. Which regime a level is in can't be known up front,
+        // so probe it: evaluate the first `PILOT_CANDIDATES` (in
+        // evaluation order, sequentially) stats-first, and switch the
+        // remainder to the fused single-walk shape iff a majority
+        // survived. The pilot is a pure function of the candidate data, so
+        // the mode — and with it every counter — is identical across
+        // thread counts; either shape returns bit-identical moments and
+        // vectors for survivors, so results never depend on the choice.
+        // Without an esup bound there is nothing to bail on: no pilot, and
+        // every miss takes the fused walk.
+        const PILOT_CANDIDATES: usize = 64;
+        let pilot_len = if esup_bound.is_some() {
+            order.len().min(PILOT_CANDIDATES)
+        } else {
+            0
+        };
+        let visit = |scratch: &mut ScratchSpace, i: u32, fused: bool| {
+            evaluate_pushdown(
+                index,
+                prev,
+                &candidates[i as usize],
+                scratch,
+                esup_bound,
+                want.min_esup,
+                want.min_count,
+                fused,
+            )
+        };
+        let pilot: Vec<_> = {
+            let mut scratch = ScratchSpace::new();
+            let pilot = order[..pilot_len].iter();
+            pilot.map(|&i| visit(&mut scratch, i, false)).collect()
+        };
+        let fused = 2 * pilot.iter().filter(|r| r.1.is_some()).count() > pilot_len;
+        // Parallel across the remaining misses: each intersection reads
+        // only the index and the previous level's memo, through a
+        // per-worker scratch (see the module docs — evaluation allocates
+        // only for candidates whose vector enters the memo).
+        let rest = par_map_min_len_with(
+            &order[pilot_len..],
+            index.mean_posting_units().max(1),
+            PAR_MIN_WORK,
+            ScratchSpace::new,
+            |scratch, &i| visit(scratch, i, fused),
+        );
+        let mut moments = vec![(0.0f64, 0.0f64, 0usize); candidates.len()];
+        for (i, m) in warm {
+            moments[i] = m;
+        }
+        for (&i, (m, vector, double_walked)) in order.iter().zip(pilot.into_iter().chain(rest)) {
+            moments[i as usize] = m;
+            // Bounded survivors spend a second (materialization) walk on
+            // top of the one-per-miss charge above.
+            stats.intersections += double_walked as u64;
+            if let Some(vector) = vector {
                 self.current
                     .insert(candidates[i as usize].items().to_vec(), vector);
             }
-            for i in 0..candidates.len() as u32 {
-                let (esup, var, count) = match folded[i as usize] {
-                    Some(m) => m,
-                    None => fresh[&i],
-                };
-                record(&mut out, esup, var, count);
-            }
+        }
+        for (esup, var, count) in moments {
+            record(&mut out, esup, var, count);
         }
         self.note_memo_peak();
         stats.peak_structure_nodes = stats.peak_structure_nodes.max(self.peak_memo_units);
@@ -769,7 +728,10 @@ impl SupportEngine for VerticalEngine {
                     // Fell out of the last refresh's frequent stream.
                     return false;
                 }
-                let updates = itemset_updates(probe, items);
+                // The memoized vector at a tid equals the probe's old-row
+                // product bit for bit (the same ascending left-fold), so
+                // no updates means the node already matches a rebuild.
+                let updates = probe.updates(items);
                 if updates.is_empty() {
                     return true;
                 }
@@ -1346,7 +1308,7 @@ fn patch_diff_nodes(
             // Fell out of the last refresh's frequent stream.
             continue;
         }
-        let updates = itemset_updates(probe, &items);
+        let updates = probe.updates(&items);
         let is_diff = matches!(node.repr, NodeRepr::Diff(_));
         if updates.is_empty() && !is_diff {
             memo.insert(items, node);
@@ -1428,52 +1390,11 @@ fn vector_for(
     }
 }
 
-/// [`vector_for`] fused with its statistics, run through a per-worker
-/// scratch: one `intersect_into` pass yields `(vector, esup, var, count)`
-/// with a single exactly-sized allocation (the export) — the hot path of
-/// [`VerticalEngine::evaluate`]. Falls back to the allocating fold for
-/// cold prefixes (direct trait users), like [`vector_for`].
-fn evaluate_with(
-    index: &VerticalIndex,
-    prev: &FxHashMap<Vec<ItemId>, PrevNode>,
-    candidate: &Itemset,
-    scratch: &mut ScratchSpace,
-) -> (ProbVector, f64, f64, usize) {
-    let items = candidate.items();
-    match items.len() {
-        0 => (ProbVector::new(), 0.0, 0.0, 0),
-        1 => {
-            let postings = index.postings(items[0]);
-            let (esup, var) = postings.moments();
-            (postings.clone(), esup, var, postings.len())
-        }
-        k => {
-            let (prefix, last) = (&items[..k - 1], items[k - 1]);
-            let last_postings = index.postings(last);
-            let base = if prefix.len() == 1 {
-                Some(index.postings(prefix[0]))
-            } else {
-                prev.get(prefix).map(|n| &n.vector)
-            };
-            match base {
-                Some(v) => {
-                    let (esup, var, count) = v.intersect_into(last_postings, scratch);
-                    (scratch.export(), esup, var, count)
-                }
-                None => {
-                    let mut v = index.prob_vector(items);
-                    v.shrink_to_fit(); // it enters the memo; drop fold slack
-                    let (esup, var) = v.moments();
-                    let count = v.len();
-                    (v, esup, var, count)
-                }
-            }
-        }
-    }
-}
-
-/// One pushdown visit of a candidate. Returns its moments, the exported
-/// memo vector when every threshold keeps it alive, and whether a *second*
+/// One visit of a candidate [`VerticalEngine::evaluate`] could not answer
+/// from warm block partials — the engine's single evaluation path, with or
+/// without pushdown thresholds (with none, every candidate survives and
+/// takes the fused walk). Returns its moments, the exported memo vector
+/// when every threshold keeps it alive, and whether a *second*
 /// intersection walk was spent on it (for the work counter).
 ///
 /// Two deterministic shapes, chosen by what is provable:
@@ -1687,6 +1608,81 @@ mod tests {
         engine.evaluate(&p, StatRequest::ESUP.with_min_esup(1e9), &mut stats);
         assert_eq!(stats.intersections, p.len() as u64);
         assert!(engine.current.is_empty());
+    }
+
+    /// The streaming half of the one evaluation arm: after a window step,
+    /// an unsorted mix of retained (warm) and new candidates comes back in
+    /// candidate order, bit-identical to a fresh engine over the stepped
+    /// snapshot, and only the non-singleton misses are charged a walk.
+    #[test]
+    fn vertical_streaming_evaluate_folds_warm_and_walks_misses() {
+        use ufim_core::{Transaction, WindowedDatabase};
+        let tx = |t: u32| {
+            let units = (0..5u32)
+                .filter(|i| !(t + i).is_multiple_of(3))
+                .map(|i| (i, 0.3 + 0.1 * f64::from((t * 7 + i) % 6)));
+            Transaction::new(units.collect::<Vec<_>>()).unwrap()
+        };
+        let mut window = WindowedDatabase::new(32, 5);
+        for t in 0..24 {
+            window.append(tx(t));
+        }
+        let _ = window.take_step();
+        let mut engine = VerticalEngine::new(&window.snapshot());
+        let mut stats = MinerStats::default();
+        let slide = |window: &mut WindowedDatabase, engine: &mut VerticalEngine, t: u32| {
+            window.expire_oldest(1);
+            window.append(tx(t));
+            let step = window.take_step();
+            let probe = StepProbe::new(&step, 5);
+            assert!(engine.apply_window_step(&step, &probe, &mut MinerStats::default()));
+        };
+        let want = StatRequest {
+            variance: true,
+            count: true,
+            ..StatRequest::ESUP
+        };
+        // The first step switches the engine into streaming mode; one
+        // refresh then retains three pairs, and a second step patches them.
+        slide(&mut window, &mut engine, 100);
+        let singletons: Vec<Itemset> = (0..5).map(Itemset::singleton).collect();
+        engine.evaluate(&singletons, want, &mut stats);
+        engine.finish_level(&as_frequent(&singletons));
+        let retained = [[0, 1], [1, 2], [3, 4]].map(Itemset::from_items);
+        engine.evaluate(&retained, want, &mut stats);
+        engine.finish_level(&as_frequent(&retained));
+        slide(&mut window, &mut engine, 101);
+
+        let mixed: Vec<Itemset> = [
+            vec![3, 4],
+            vec![2, 4],
+            vec![0],
+            vec![1, 2, 4],
+            vec![0, 1],
+            vec![0, 3],
+            vec![1, 2],
+        ]
+        .into_iter()
+        .map(Itemset::from_items)
+        .collect();
+        let warm =
+            |c: &Itemset| matches!(engine.prev.get(c.items()), Some(n) if n.moments.is_some());
+        let warm_count = mixed.iter().filter(|c| warm(c)).count();
+        let misses = mixed.iter().filter(|c| c.len() > 1 && !warm(c)).count() as u64;
+        assert!(warm_count >= 2 && misses >= 2, "the fixture mixes both");
+
+        let mut run = MinerStats::default();
+        let got = engine.evaluate(&mixed, want, &mut run);
+        assert_eq!(run.intersections, misses);
+        let mut fresh = VerticalEngine::new(&window.snapshot());
+        let expect = fresh.evaluate(&mixed, want, &mut MinerStats::default());
+        let bits = |l: &LevelSupport| -> Vec<(u64, u64, u64)> {
+            let (var, count) = (l.variance.as_ref().unwrap(), l.count.as_ref().unwrap());
+            (0..l.esup.len())
+                .map(|i| (l.esup[i].to_bits(), var[i].to_bits(), count[i]))
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&expect));
     }
 
     #[test]

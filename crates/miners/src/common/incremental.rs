@@ -44,16 +44,18 @@
 //! border traffic, with [`MinerStats::border_skipped`] and
 //! [`MinerStats::border_rejudged`] accounting for the rest.
 //!
-//! One deliberate deviation from the batch evaluator: the incremental
-//! [`StatRequest`] carries **no pushdown thresholds**. The engines'
-//! threshold pushdown reports decision-equivalent (not value-equivalent)
-//! partial sums for candidates it rules out, which would poison the
-//! tracker's maintained upper bounds; exact moments keep every cached
-//! bound sound. Kept records are bit-identical either way.
+//! Both evaluators run the same screen → prob-vectors → judge pass
+//! (`measure::judge_level`), with one deliberate deviation: the incremental
+//! [`StatRequest`](super::engine::StatRequest) carries **no pushdown
+//! thresholds**. The engines' threshold pushdown reports
+//! decision-equivalent (not value-equivalent) partial sums for candidates
+//! it rules out, which would poison the tracker's maintained upper bounds;
+//! exact moments keep every cached bound sound. Kept records are
+//! bit-identical either way.
 
 use super::apriori::generate_candidates;
-use super::engine::{DiffsetEngine, HorizontalScan, StatRequest, SupportEngine, VerticalEngine};
-use super::measure::{CandidateStats, FrequentnessMeasure, Screen};
+use super::engine::{DiffsetEngine, HorizontalScan, SupportEngine, VerticalEngine};
+use super::measure::{judge_level, FrequentnessMeasure};
 use ufim_core::{
     EngineKind, FrequentItemset, FxHashMap, ItemId, Itemset, MinerStats, MiningResult, ShardPlan,
     StepProbe, Transaction, UncertainDatabase, WindowStep, WindowedDatabase,
@@ -212,15 +214,6 @@ fn evaluate_level<M: FrequentnessMeasure>(
     candidates: &[Itemset],
     stats: &mut MinerStats,
 ) -> Vec<FrequentItemset> {
-    let needs = measure.needs();
-    // Exact moments only — no pushdown thresholds (see the module docs):
-    // the cached infrequent bounds below must be sound upper bounds.
-    let want = StatRequest {
-        variance: needs.variance,
-        count: needs.count,
-        min_esup: None,
-        min_count: None,
-    };
     let (min_esup, min_count) = (measure.min_esup_bound(), measure.min_count_bound());
 
     let mut plan: Vec<Slot> = Vec::with_capacity(candidates.len());
@@ -244,52 +237,16 @@ fn evaluate_level<M: FrequentnessMeasure>(
     }
 
     // The fresh subset runs through the measure exactly as the batch
-    // evaluator would run the whole level (screen → prob-vectors → judge).
+    // evaluator runs the whole level, through the same `judge_level` pass —
+    // but with exact moments only, no pushdown thresholds (see the module
+    // docs): the cached infrequent bounds below must be sound upper bounds.
     // Reused prefixes may be absent from the engine's memo; every backend
     // falls back to a bit-identical from-scratch fold for cold prefixes.
     let mut fresh_records: Vec<Option<FrequentItemset>> = vec![None; fresh.len()];
     if !fresh.is_empty() {
-        stats.candidates_evaluated += fresh.len() as u64;
-        let sup = engine.evaluate(&fresh, want, stats);
-
-        let mut survivors: Vec<u32> = Vec::with_capacity(fresh.len());
-        for idx in 0..fresh.len() {
-            let count = sup.count.as_ref().map_or(0, |c| c[idx]);
-            match measure.screen(sup.esup[idx], count) {
-                Screen::Keep => survivors.push(idx as u32),
-                Screen::PruneCount => stats.candidates_pruned_count += 1,
-                Screen::PruneBound => stats.candidates_pruned_chernoff += 1,
-            }
-        }
-
-        let qvecs: Option<Vec<Vec<f64>>> = if needs.prob_vector && !survivors.is_empty() {
-            let sets: Vec<Itemset> = survivors
-                .iter()
-                .map(|&i| fresh[i as usize].clone())
-                .collect();
-            Some(engine.prob_vectors(&sets, stats))
-        } else {
-            None
-        };
-
-        for (slot, &idx) in survivors.iter().enumerate() {
-            let i = idx as usize;
-            let c = CandidateStats {
-                esup: sup.esup[i],
-                variance: sup.variance.as_ref().map_or(0.0, |v| v[i]),
-                count: sup.count.as_ref().map_or(0, |c| c[i]),
-                probs: qvecs.as_ref().map(|q| q[slot].as_slice()),
-            };
-            if let Some(j) = measure.judge(&c, stats) {
-                fresh_records[i] = Some(FrequentItemset {
-                    itemset: fresh[i].clone(),
-                    expected_support: j.expected_support,
-                    variance: j.variance,
-                    frequent_prob: j.frequent_prob,
-                });
-            }
-        }
-
+        let sup = judge_level(measure, engine, &fresh, false, stats, |i, _, record| {
+            fresh_records[i] = Some(record);
+        });
         for (i, set) in fresh.iter().enumerate() {
             let verdict = match &fresh_records[i] {
                 Some(rec) => Tracked::Frequent(rec.clone()),

@@ -25,7 +25,7 @@
 //! miners run before paying for a kernel evaluation.
 
 use super::apriori::LevelEvaluator;
-use super::engine::{StatRequest, SupportEngine};
+use super::engine::{LevelSupport, StatRequest, SupportEngine};
 use ufim_core::prelude::*;
 use ufim_stats::chernoff::chernoff_prunable;
 use ufim_stats::normal::{normal_esup_lower_bound, normal_survival_with_continuity};
@@ -518,54 +518,16 @@ impl<M: FrequentnessMeasure> LevelEvaluator for MeasureEvaluator<'_, M> {
         candidates: &[Itemset],
         stats: &mut MinerStats,
     ) -> Vec<FrequentItemset> {
-        stats.candidates_evaluated += candidates.len() as u64;
-        let needs = self.measure.needs();
-        let want = StatRequest {
-            variance: needs.variance,
-            count: needs.count,
-            min_esup: self.measure.min_esup_bound(),
-            min_count: self.measure.min_count_bound(),
-        };
-        let sup = self.engine.evaluate(candidates, want, stats);
-
-        // Phase A: the cheap screen over the moments.
-        let mut survivors: Vec<u32> = Vec::with_capacity(candidates.len());
-        for idx in 0..candidates.len() {
-            let count = sup.count.as_ref().map_or(0, |c| c[idx]);
-            match self.measure.screen(sup.esup[idx], count) {
-                Screen::Keep => survivors.push(idx as u32),
-                Screen::PruneCount => stats.candidates_pruned_count += 1,
-                Screen::PruneBound => stats.candidates_pruned_chernoff += 1,
-            }
-        }
-
-        // Phase B: gather probability vectors only when the measure judges
-        // on exact distributions, and only for screen survivors.
-        let qvecs: Option<Vec<Vec<f64>>> = if needs.prob_vector {
-            if survivors.is_empty() {
-                self.engine.finish_level(&[]);
-                return Vec::new();
-            }
-            let sets: Vec<Itemset> = survivors
-                .iter()
-                .map(|&i| candidates[i as usize].clone())
-                .collect();
-            Some(self.engine.prob_vectors(&sets, stats))
-        } else {
-            None
-        };
-
-        let mut out = Vec::with_capacity(survivors.len());
-        for (slot, &idx) in survivors.iter().enumerate() {
-            let i = idx as usize;
-            let c = CandidateStats {
-                esup: sup.esup[i],
-                variance: sup.variance.as_ref().map_or(0.0, |v| v[i]),
-                count: sup.count.as_ref().map_or(0, |c| c[i]),
-                probs: qvecs.as_ref().map(|q| q[slot].as_slice()),
-            };
-            if let Some(j) = self.measure.judge(&c, stats) {
-                if let Some(capture) = &mut self.capture {
+        let mut out = Vec::new();
+        let capture = &mut self.capture;
+        judge_level(
+            &self.measure,
+            self.engine.as_mut(),
+            candidates,
+            true,
+            stats,
+            |i, c, record| {
+                if let Some(capture) = capture {
                     capture.push(RetainedRecord {
                         itemset: candidates[i].clone(),
                         esup: c.esup,
@@ -574,17 +536,80 @@ impl<M: FrequentnessMeasure> LevelEvaluator for MeasureEvaluator<'_, M> {
                         probs: c.probs.map(<[f64]>::to_vec),
                     });
                 }
-                out.push(FrequentItemset {
-                    itemset: candidates[i].clone(),
-                    expected_support: j.expected_support,
-                    variance: j.variance,
-                    frequent_prob: j.frequent_prob,
-                });
-            }
-        }
+                out.push(record);
+            },
+        );
         self.engine.finish_level(&out);
         out
     }
+}
+
+/// One level of the measure over the engine — the screen → prob-vectors →
+/// judge pass that batch ([`MeasureEvaluator`]) and incremental mining
+/// share. Evaluates `candidates` (with the measure's pushdown thresholds
+/// iff `pushdown`), screens the moments, gathers probability vectors for
+/// the screen survivors when the measure judges on them, and calls `keep`
+/// with each kept candidate's index, statistics and record, in candidate
+/// order. Returns the level's statistics; the caller closes the level with
+/// [`SupportEngine::finish_level`].
+pub(crate) fn judge_level<M: FrequentnessMeasure>(
+    measure: &M,
+    engine: &mut dyn SupportEngine,
+    candidates: &[Itemset],
+    pushdown: bool,
+    stats: &mut MinerStats,
+    mut keep: impl FnMut(usize, &CandidateStats<'_>, FrequentItemset),
+) -> LevelSupport {
+    stats.candidates_evaluated += candidates.len() as u64;
+    let needs = measure.needs();
+    let want = StatRequest {
+        variance: needs.variance,
+        count: needs.count,
+        min_esup: measure.min_esup_bound().filter(|_| pushdown),
+        min_count: measure.min_count_bound().filter(|_| pushdown),
+    };
+    let sup = engine.evaluate(candidates, want, stats);
+
+    // Phase A: the cheap screen over the moments.
+    let mut survivors: Vec<u32> = Vec::with_capacity(candidates.len());
+    for idx in 0..candidates.len() {
+        let count = sup.count.as_ref().map_or(0, |c| c[idx]);
+        match measure.screen(sup.esup[idx], count) {
+            Screen::Keep => survivors.push(idx as u32),
+            Screen::PruneCount => stats.candidates_pruned_count += 1,
+            Screen::PruneBound => stats.candidates_pruned_chernoff += 1,
+        }
+    }
+
+    // Phase B: gather probability vectors only when the measure judges on
+    // exact distributions, and only for screen survivors.
+    let qvecs: Option<Vec<Vec<f64>>> = (needs.prob_vector && !survivors.is_empty()).then(|| {
+        let sets: Vec<Itemset> = survivors
+            .iter()
+            .map(|&i| candidates[i as usize].clone())
+            .collect();
+        engine.prob_vectors(&sets, stats)
+    });
+
+    for (slot, &idx) in survivors.iter().enumerate() {
+        let i = idx as usize;
+        let c = CandidateStats {
+            esup: sup.esup[i],
+            variance: sup.variance.as_ref().map_or(0.0, |v| v[i]),
+            count: sup.count.as_ref().map_or(0, |c| c[i]),
+            probs: qvecs.as_ref().map(|q| q[slot].as_slice()),
+        };
+        if let Some(j) = measure.judge(&c, stats) {
+            let record = FrequentItemset {
+                itemset: candidates[i].clone(),
+                expected_support: j.expected_support,
+                variance: j.variance,
+                frequent_prob: j.frequent_prob,
+            };
+            keep(i, &c, record);
+        }
+    }
+    sup
 }
 
 /// Runs the level-wise (Apriori) traversal of `measure` on the `engine`

@@ -521,8 +521,8 @@ impl Request {
                     .iter()
                     .map(|v| {
                         v.as_u64()
-                            .map(|n| n as ItemId)
-                            .ok_or("itemset entries must be item ids".to_string())
+                            .and_then(|n| ItemId::try_from(n).ok())
+                            .ok_or("itemset entries must be item ids in 0..2^32".to_string())
                     })
                     .collect::<Result<Vec<ItemId>, String>>()?;
                 Ok(Request::Probe {
@@ -677,6 +677,23 @@ mod tests {
         }
         assert!(Request::parse(r#"{"op":"nope"}"#).is_err());
         assert!(Request::parse("not json").is_err());
+    }
+
+    #[test]
+    fn out_of_range_item_ids_are_rejected_not_truncated() {
+        let probe = |items: &str| {
+            Request::parse(&format!(
+                r#"{{"op":"probe","dataset":"d","measure":"esup","min_sup":0.5,"pft":0.7,"itemset":{items}}}"#
+            ))
+        };
+        match probe("[4294967295]").unwrap() {
+            Request::Probe { itemset, .. } => assert_eq!(itemset, vec![u32::MAX]),
+            other => panic!("{other:?}"),
+        }
+        for bad in ["[4294967296]", "[0,8589934593]", "[1e30]"] {
+            let err = probe(bad).unwrap_err();
+            assert!(err.contains("item ids"), "{bad}: {err}");
+        }
     }
 
     #[test]

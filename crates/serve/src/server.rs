@@ -15,8 +15,8 @@
 
 use crate::memo::{MemoKey, MemoOutcome, ResidentMemo};
 use crate::proto::{record_json, Json, Request};
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -425,6 +425,12 @@ impl ServeCore {
         if items.is_empty() {
             return err_json("probe itemset must be non-empty");
         }
+        let vocabulary = ds.index.num_items();
+        if let Some(item) = items.iter().find(|&&i| i >= vocabulary) {
+            return err_json(&format!(
+                "probe item {item} is outside dataset '{dataset}' (vocabulary of {vocabulary} items)"
+            ));
+        }
         let itemset = Itemset::from_items(items.iter().copied());
         let n = ds.db.num_transactions();
         let key = MemoKey {
@@ -600,6 +606,11 @@ impl Drop for TcpServer {
     }
 }
 
+/// The longest request line a connection may send, newline included. A
+/// longer line is answered with one error line and the connection closes,
+/// so a client that never sends `\n` cannot grow the buffer without limit.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
 fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     // A finite read timeout so connection threads notice a server stop
     // even when the client holds the socket open without sending.
@@ -614,7 +625,24 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     // multi-byte character split the same way is never cut.
     let mut line = Vec::new();
     loop {
-        let eof = match reader.read_until(b'\n', &mut line) {
+        // Read at most up to the line bound: one byte past it proves the
+        // line too long.
+        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        let eof = match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(_) if line.len() > MAX_LINE_BYTES => {
+                let error = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                let _ = writeln!(writer, "{}", err_json(&error).to_line());
+                // Lingering close: half-close, then discard a bounded
+                // amount of what the client still sends, so closing with
+                // unread input does not reset the connection before the
+                // client has read the error line.
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = std::io::copy(
+                    &mut (&mut reader).take(MAX_LINE_BYTES as u64),
+                    &mut std::io::sink(),
+                );
+                break;
+            }
             Ok(0) => true,
             Ok(_) => false,
             Err(e)
@@ -735,6 +763,24 @@ mod tests {
     }
 
     #[test]
+    fn probe_outside_the_vocabulary_is_an_error_not_a_crash() {
+        let core = core_with_table1();
+        let resp = core.handle_line(
+            r#"{"op":"probe","dataset":"t1","measure":"esup","min_sup":0.5,"pft":0.7,"itemset":[0,99]}"#,
+        );
+        let v = Json::parse(&resp).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{resp}");
+        let error = v.get("error").unwrap().as_str().unwrap();
+        assert!(error.contains("99") && error.contains("6 items"), "{error}");
+        // The next valid probe answers exactly as on a fresh core.
+        let valid = r#"{"op":"probe","dataset":"t1","measure":"esup","min_sup":0.5,"pft":0.7,"itemset":[0,2]}"#;
+        assert_eq!(
+            core.handle_line(valid),
+            core_with_table1().handle_line(valid)
+        );
+    }
+
+    #[test]
     fn mine_depth_first_is_always_cold_and_errors_cleanly() {
         let core = core_with_table1();
         let resp = core.handle_line(
@@ -825,6 +871,51 @@ mod tests {
         let v = Json::parse(got.trim_end()).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{got}");
         assert!(v.get("memo_hits").is_some(), "{got}");
+        drop(writer);
+        drop(reader);
+        server.stop();
+    }
+
+    #[test]
+    fn tcp_oversized_line_gets_one_error_then_close() {
+        let core = core_with_table1();
+        let Ok(server) = TcpServer::start(Arc::clone(&core), "127.0.0.1:0") else {
+            return; // binding forbidden; see `tcp_roundtrip_matches_in_process`
+        };
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        // 2 MiB and no newline, from a thread: the server stops reading
+        // past the bound, so the write may not complete.
+        let mut writer = stream;
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES]);
+        });
+        let mut got = String::new();
+        reader.read_line(&mut got).unwrap();
+        let v = Json::parse(got.trim_end()).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{got}");
+        assert!(v
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .contains("exceeds"));
+        // Then the server closes the connection.
+        got.clear();
+        assert_eq!(reader.read_line(&mut got).unwrap_or(0), 0, "{got}");
+        flood.join().unwrap();
+        // A new connection is still answered.
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        writer.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        got.clear();
+        reader.read_line(&mut got).unwrap();
+        let v = Json::parse(got.trim_end()).unwrap();
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{got}");
         drop(writer);
         drop(reader);
         server.stop();
