@@ -64,7 +64,7 @@ pub mod server;
 
 pub use memo::{MemoCounters, MemoKey, MemoOutcome, ResidentMemo};
 pub use proto::{Json, Request};
-pub use server::{Dataset, ServeCore, TcpServer};
+pub use server::{serve_stream, Dataset, ServeCore, TcpServer};
 
 /// Convenient glob-import: `use ufim_serve::prelude::*;`
 pub mod prelude {

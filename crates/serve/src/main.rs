@@ -7,10 +7,11 @@
 //!
 //! Without `--listen`, requests are read from stdin and answered on
 //! stdout (one line each), exiting at EOF — the mode CI uses to exercise
-//! the server without networking. With `--listen`, a blocking TCP server
+//! the server without networking. A request line over
+//! [`MAX_LINE_BYTES`](ufim_serve::server::MAX_LINE_BYTES) gets one error
+//! line and is skipped. With `--listen`, a blocking TCP server
 //! runs until the process is killed.
 
-use std::io::BufRead;
 use std::process::exit;
 use std::sync::Arc;
 use ufim_serve::ServeCore;
@@ -103,13 +104,11 @@ fn main() {
             }
         }
         None => {
-            let stdin = std::io::stdin();
-            for line in stdin.lock().lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                println!("{}", core.handle_line(&line));
+            if let Err(e) =
+                ufim_serve::serve_stream(&core, std::io::stdin().lock(), std::io::stdout().lock())
+            {
+                eprintln!("stdin mode: {e}");
+                exit(1);
             }
         }
     }

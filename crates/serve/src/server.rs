@@ -606,10 +606,83 @@ impl Drop for TcpServer {
     }
 }
 
-/// The longest request line a connection may send, newline included. A
-/// longer line is answered with one error line and the connection closes,
-/// so a client that never sends `\n` cannot grow the buffer without limit.
-const MAX_LINE_BYTES: usize = 1 << 20;
+/// The longest request line the server reads, newline included, so a
+/// client that never sends `\n` cannot grow the buffer without limit. Over
+/// TCP a longer line is answered with one error line and the connection
+/// closes; on a stream ([`serve_stream`], the binary's stdin mode) it is
+/// answered with one error line and skipped.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How one bounded read of a request line ended.
+enum LineRead {
+    /// Bytes were read; `line` ends with `\n` unless the line is still
+    /// open (a read timeout can interrupt it) or the input ended.
+    Line,
+    /// Nothing more to read.
+    Eof,
+    /// `line` passed [`MAX_LINE_BYTES`].
+    TooLong,
+}
+
+/// Reads the rest of one request line into `line`, which keeps the bytes
+/// of earlier calls: a request line split by a read timeout is completed
+/// by the next call, and a multi-byte character split the same way is
+/// never cut. Reads at most one byte past [`MAX_LINE_BYTES`], which
+/// proves the line too long.
+fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<LineRead> {
+    let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+    Ok(match reader.take(room).read_until(b'\n', line)? {
+        _ if line.len() > MAX_LINE_BYTES => LineRead::TooLong,
+        0 => LineRead::Eof,
+        _ => LineRead::Line,
+    })
+}
+
+/// The response line to one raw request line.
+fn answer(core: &ServeCore, line: &[u8]) -> String {
+    match std::str::from_utf8(line) {
+        Ok(text) => core.handle_line(text),
+        Err(_) => err_json("request line is not valid UTF-8").to_line(),
+    }
+}
+
+fn too_long_error() -> String {
+    err_json(&format!("request line exceeds {MAX_LINE_BYTES} bytes")).to_line()
+}
+
+/// Answers line-JSON requests from `reader` on `writer`, one response line
+/// per non-blank request line, until the input ends — the stdin mode of
+/// the `ufim-serve` binary. A line longer than [`MAX_LINE_BYTES`] is
+/// answered with one error line and skipped up to its newline; serving
+/// continues with the next line.
+pub fn serve_stream(
+    core: &ServeCore,
+    mut reader: impl BufRead,
+    mut writer: impl std::io::Write,
+) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    loop {
+        let read = read_request_line(&mut reader, &mut line)?;
+        let response = match read {
+            LineRead::TooLong => {
+                if line.last() != Some(&b'\n') {
+                    reader.skip_until(b'\n')?;
+                }
+                Some(too_long_error())
+            }
+            _ if line.trim_ascii().is_empty() => None,
+            _ => Some(answer(core, &line)),
+        };
+        if let Some(response) = response {
+            writeln!(writer, "{response}")?;
+            writer.flush()?;
+        }
+        line.clear();
+        if let LineRead::Eof = read {
+            return Ok(());
+        }
+    }
+}
 
 fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     // A finite read timeout so connection threads notice a server stop
@@ -620,18 +693,11 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
     };
     let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    // Raw bytes, kept across read timeouts: a request line split by a
-    // pause longer than the timeout is completed by the next read, and a
-    // multi-byte character split the same way is never cut.
     let mut line = Vec::new();
     loop {
-        // Read at most up to the line bound: one byte past it proves the
-        // line too long.
-        let room = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
-        let eof = match (&mut reader).take(room).read_until(b'\n', &mut line) {
-            Ok(_) if line.len() > MAX_LINE_BYTES => {
-                let error = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-                let _ = writeln!(writer, "{}", err_json(&error).to_line());
+        let eof = match read_request_line(&mut reader, &mut line) {
+            Ok(LineRead::TooLong) => {
+                let _ = writeln!(writer, "{}", too_long_error());
                 // Lingering close: half-close, then discard a bounded
                 // amount of what the client still sends, so closing with
                 // unread input does not reset the connection before the
@@ -643,8 +709,8 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
                 );
                 break;
             }
-            Ok(0) => true,
-            Ok(_) => false,
+            Ok(LineRead::Eof) => true,
+            Ok(LineRead::Line) => false,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -657,10 +723,7 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool) {
             Err(_) => break,
         };
         if !line.trim_ascii().is_empty() {
-            let response = match std::str::from_utf8(&line) {
-                Ok(text) => core.handle_line(text),
-                Err(_) => err_json("request line is not valid UTF-8").to_line(),
-            };
+            let response = answer(core, &line);
             if writer
                 .write_all(format!("{response}\n").as_bytes())
                 .and_then(|()| writer.flush())
@@ -919,6 +982,34 @@ mod tests {
         drop(writer);
         drop(reader);
         server.stop();
+    }
+
+    #[test]
+    fn stream_oversized_line_gets_one_error_then_serving_continues() {
+        let request = r#"{"op":"sweep","dataset":"t1","measure":"esup","pft":0.7,"thresholds":[0.5],"records":true}"#;
+        let fresh = core_with_table1().handle_line(request);
+        // 2 MiB before the newline, and a line one byte over the bound
+        // whose newline is the byte that proves it too long.
+        for oversized in [2 * MAX_LINE_BYTES, MAX_LINE_BYTES] {
+            let mut input = vec![b'x'; oversized];
+            input.push(b'\n');
+            input.extend_from_slice(request.as_bytes());
+            input.push(b'\n');
+            let mut out = Vec::new();
+            serve_stream(&core_with_table1(), &input[..], &mut out).unwrap();
+            let out = String::from_utf8(out).unwrap();
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(lines.len(), 2, "{oversized}: {out}");
+            let v = Json::parse(lines[0]).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+            assert!(v
+                .get("error")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .contains("exceeds"));
+            assert_eq!(lines[1], fresh, "{oversized}");
+        }
     }
 
     #[test]

@@ -77,6 +77,56 @@ fn assert_equivalent(
     Ok(())
 }
 
+/// `a` and `b` differ by at most 1e-9 relative to the larger magnitude.
+fn rel_close(a: f64, b: f64) -> bool {
+    a == b || (a - b).abs() <= 1e-9 * a.abs().max(b.abs())
+}
+
+/// Asserts the same itemsets, and per record an expected support and a
+/// variance (when reported) within 1e-9 relative difference.
+fn assert_moments_close(
+    r: &MiningResult,
+    reference: &MiningResult,
+    label: &str,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(
+        r.sorted_itemsets(),
+        reference.sorted_itemsets(),
+        "{}: itemset sets diverge",
+        label
+    );
+    for fi in &r.itemsets {
+        let want = reference.get(&fi.itemset).expect("same sets");
+        prop_assert!(
+            rel_close(fi.expected_support, want.expected_support),
+            "{}: esup of {}: {} vs {}",
+            label,
+            fi.itemset,
+            fi.expected_support,
+            want.expected_support
+        );
+        match (fi.variance, want.variance) {
+            (Some(a), Some(b)) => prop_assert!(
+                rel_close(a, b),
+                "{}: variance of {}: {} vs {}",
+                label,
+                fi.itemset,
+                a,
+                b
+            ),
+            (None, None) => {}
+            (a, b) => prop_assert!(
+                false,
+                "{}: variance presence diverges: {:?} vs {:?}",
+                label,
+                a,
+                b
+            ),
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -105,12 +155,19 @@ proptest! {
                 .unwrap()
                 .mine_expected_ratio(&db, ratio)
                 .unwrap();
-            prop_assert_eq!(
-                r.sorted_itemsets(),
-                v.sorted_itemsets(),
-                "{} vs vertical UApriori",
-                algo.name()
-            );
+            assert_moments_close(&r, &v, &format!("{} vs vertical UApriori", algo.name()))?;
+        }
+        // The same two traversals with the variance in every record: the
+        // Normal cells against the vertical level-wise Normal cell.
+        let params = MiningParams::new(ratio, 0.7).unwrap();
+        let reference = MatrixMiner::new(MeasureKind::Normal, TraversalKind::LevelWise)
+            .mine_probabilistic(&db, params.with_engine(EngineKind::Vertical))
+            .unwrap();
+        for traversal in [TraversalKind::TreeGrowth, TraversalKind::HyperStructure] {
+            let r = MatrixMiner::new(MeasureKind::Normal, traversal)
+                .mine_probabilistic(&db, params)
+                .unwrap();
+            assert_moments_close(&r, &reference, &format!("normal×{traversal} vs vertical"))?;
         }
     }
 
