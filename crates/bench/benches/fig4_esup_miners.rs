@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks backing Figure 4: the three expected-support
-//! miners across a dense and a sparse dataset, plus the decremental-pruning
-//! ablation called out in DESIGN.md.
+//! miners across a dense and a sparse dataset, plus an ablation of
+//! UApriori's decremental pruning (on vs off) on the dense Connect analog.
 //!
 //! These complement (not replace) the `ufim-bench fig4` harness: Criterion
 //! gives statistically robust *time* comparisons at a fixed small scale,
@@ -52,7 +52,8 @@ fn bench_datasets(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation A-2 (DESIGN.md): UApriori's decremental pruning on/off.
+/// Ablation A-2: UApriori's decremental pruning on/off, on the dense
+/// Connect analog at `SCALE`.
 fn bench_decremental_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig4_ablation_decremental");
     group

@@ -44,13 +44,6 @@ impl Itemset {
         Itemset { items: v }
     }
 
-    /// Builds from a vector the caller guarantees is sorted ascending and
-    /// duplicate-free. Checked in debug builds only.
-    pub fn from_sorted_vec(items: Vec<ItemId>) -> Self {
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "not strictly sorted");
-        Itemset { items }
-    }
-
     /// The items, sorted ascending.
     #[inline]
     pub fn items(&self) -> &[ItemId] {

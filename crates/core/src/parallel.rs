@@ -58,7 +58,7 @@
 //! grows to serve the largest budget ever requested and never shrinks.
 //!
 //! Callers are expected to gate small inputs themselves (see
-//! [`par_map_min_len`] and the miners' spawn cutoffs) — fanning out a
+//! [`par_map_min_len_with`] and the miners' spawn cutoffs) — fanning out a
 //! four-transaction database costs more than it saves.
 //!
 //! ## Per-worker state
@@ -78,7 +78,7 @@ use std::sync::Mutex;
 
 pub use workpool::Scope;
 
-/// Default work-size gate for [`par_map_min_len`] callers: below this many
+/// Default work-size gate for [`par_map_min_len_with`] callers: below this many
 /// units of work, fanning out costs more than it saves. Shared by the
 /// support engines so all backends fan out at the same scale.
 pub const DEFAULT_MIN_WORK: usize = 1 << 15;
@@ -308,23 +308,9 @@ where
     out
 }
 
-/// [`par_map`] gated on input size: runs sequentially unless `items.len() *
-/// weight` reaches `min_work`. `weight` lets callers fold per-item cost
-/// (e.g. transactions per candidate) into the threshold.
-pub fn par_map_min_len<T, R, F>(items: &[T], weight: usize, min_work: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    if items.len().saturating_mul(weight.max(1)) < min_work {
-        items.iter().map(f).collect()
-    } else {
-        par_map(items, f)
-    }
-}
-
-/// [`par_map_with`] gated on input size like [`par_map_min_len`]. The
+/// [`par_map_with`] gated on input size: runs sequentially unless
+/// `items.len() * weight` reaches `min_work`. `weight` lets callers fold
+/// per-item cost (e.g. transactions per candidate) into the threshold. The
 /// sequential path still builds one state and threads it through every
 /// item, so scratch reuse works at every scale.
 pub fn par_map_min_len_with<S, T, R, I, F>(
@@ -371,9 +357,20 @@ mod tests {
     #[test]
     fn min_len_gate_runs_sequentially_but_identically() {
         let items: Vec<u32> = (0..100).collect();
-        let seq = par_map_min_len(&items, 1, usize::MAX, |&x| x + 1);
+        // The sequential path threads one state through every item.
+        let seq = par_map_min_len_with(
+            &items,
+            1,
+            usize::MAX,
+            || 0u32,
+            |calls, &x| {
+                *calls += 1;
+                (x + 1, *calls)
+            },
+        );
         let par = par_map(&items, |&x| x + 1);
-        assert_eq!(seq, par);
+        assert_eq!(seq.iter().map(|&(y, _)| y).collect::<Vec<_>>(), par);
+        assert_eq!(seq.last().map(|&(_, calls)| calls), Some(100));
     }
 
     #[test]

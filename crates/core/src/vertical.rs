@@ -828,125 +828,6 @@ impl ProbVector {
         self.nnz += 1;
     }
 
-    /// Point lookup: the stored probability at `tid`, or `0.0` when the
-    /// tid is absent. `O(log chunks)`.
-    pub fn get(&self, tid: u32) -> f64 {
-        let key = tid >> CHUNK_BITS;
-        let bit = tid & (CHUNK_LANES as u32 - 1);
-        let Ok(i) = self.keys.binary_search(&key) else {
-            return 0.0;
-        };
-        if self.masks[i] >> bit & 1 == 0 {
-            return 0.0;
-        }
-        let s = self.start(i);
-        if self.end(i) - s == CHUNK_LANES {
-            self.lanes[s + bit as usize]
-        } else {
-            self.lanes[s + rank(self.masks[i], bit)]
-        }
-    }
-
-    /// Point upsert at an arbitrary tid — the delta-maintenance twin of
-    /// [`ProbVector::push`]. The touched chunk is re-laid-out under the
-    /// same per-chunk cutoff rule as [`ProbVector::from_parts`], so the
-    /// layout stays a pure function of the contents: a point-updated
-    /// vector is byte-identical to one rebuilt from scratch.
-    pub fn insert(&mut self, tid: u32, prob: f64) {
-        debug_assert!(prob > 0.0, "zero-prob entry");
-        self.set_point(tid, Some(prob));
-    }
-
-    /// Point removal at an arbitrary tid; returns whether the tid was
-    /// present. Same canonical-layout guarantee as [`ProbVector::insert`];
-    /// a chunk whose last entry is removed leaves the directory entirely.
-    pub fn remove(&mut self, tid: u32) -> bool {
-        self.set_point(tid, None)
-    }
-
-    /// Shared splice of [`ProbVector::insert`] / [`ProbVector::remove`]:
-    /// extracts the touched chunk to positional form, mutates one lane,
-    /// and re-commits it under the canonical cutoff rule, shifting the
-    /// directory suffix. `O(total lanes)` per call — window steps touch
-    /// few tids, so this stays proportional to the delta times the
-    /// posting length.
-    fn set_point(&mut self, tid: u32, prob: Option<f64>) -> bool {
-        let key = tid >> CHUNK_BITS;
-        let bit = tid & (CHUNK_LANES as u32 - 1);
-        let (pos, existed) = match self.keys.binary_search(&key) {
-            Ok(i) => (i, true),
-            Err(i) => (i, false),
-        };
-        let mut vals = [0.0f64; CHUNK_LANES];
-        let mut mask = 0u64;
-        let old_start = self.start(pos);
-        let mut old_end = old_start;
-        if existed {
-            mask = self.masks[pos];
-            old_end = self.end(pos);
-            if old_end - old_start == CHUNK_LANES {
-                vals.copy_from_slice(&self.lanes[old_start..old_end]);
-            } else {
-                let mut m = mask;
-                let mut idx = old_start;
-                while m != 0 {
-                    let t = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    vals[t] = self.lanes[idx];
-                    idx += 1;
-                }
-            }
-        }
-        let had = mask >> bit & 1 == 1;
-        match prob {
-            Some(p) => {
-                vals[bit as usize] = p;
-                mask |= 1u64 << bit;
-                self.nnz += usize::from(!had);
-            }
-            None => {
-                if !had {
-                    return false;
-                }
-                vals[bit as usize] = 0.0;
-                mask &= !(1u64 << bit);
-                self.nnz -= 1;
-            }
-        }
-        // Re-commit under the same layout rule as `commit_chunk`.
-        let n = mask.count_ones() as usize;
-        let mut new_lanes: Vec<f64> = Vec::with_capacity(if n > 0 { CHUNK_LANES } else { 0 });
-        if n * DENSE_CUTOFF_DIVISOR >= CHUNK_LANES && n < CHUNK_LANES {
-            new_lanes.extend_from_slice(&vals);
-        } else {
-            let mut m = mask;
-            while m != 0 {
-                let t = m.trailing_zeros() as usize;
-                m &= m - 1;
-                new_lanes.push(vals[t]);
-            }
-        }
-        let delta = new_lanes.len() as isize - (old_end - old_start) as isize;
-        if existed && n == 0 {
-            self.keys.remove(pos);
-            self.masks.remove(pos);
-            self.ends.remove(pos);
-        } else if existed {
-            self.masks[pos] = mask;
-        } else {
-            debug_assert!(n > 0, "inserting produced an empty chunk");
-            self.keys.insert(pos, key);
-            self.masks.insert(pos, mask);
-            // Placeholder; the suffix shift below lands it on the real end.
-            self.ends.insert(pos, old_start as u32);
-        }
-        self.lanes.splice(old_start..old_end, new_lanes);
-        for e in &mut self.ends[pos..] {
-            *e = (*e as isize + delta) as u32;
-        }
-        true
-    }
-
     /// Applies a batch of point updates in one pass — the window-step
     /// patch kernel for memoized vectors. `updates` holds `(tid, prob)`
     /// pairs with strictly ascending tids; `prob > 0.0` upserts the entry,
@@ -955,8 +836,7 @@ impl ProbVector {
     /// re-committed under the canonical cutoff rule, so the patched vector
     /// is **byte-identical** to [`ProbVector::from_parts`] of the updated
     /// contents. Cost is `O(chunks + lanes + updates)` for the whole
-    /// batch, versus `O(total lanes)` *per point* for
-    /// [`ProbVector::insert`] / [`ProbVector::remove`].
+    /// batch.
     pub fn apply_tid_delta(&mut self, updates: &[(u32, f64)]) {
         if updates.is_empty() {
             return;
@@ -2909,52 +2789,6 @@ mod tests {
         assert_eq!(ab, bb, "{label}: lanes");
     }
 
-    /// Point updates keep the canonical layout: after any mix of inserts,
-    /// overwrites and removals, the vector is byte-identical to a
-    /// `from_parts` rebuild of the same contents — including chunks that
-    /// cross the packed↔positional cutoff in either direction, chunk
-    /// creation at either end, and chunk removal.
-    #[test]
-    fn point_updates_preserve_canonical_layout() {
-        use std::collections::BTreeMap;
-        let mut v = build(&[(70, 0.5), (75, 0.25), (600, 0.9)]);
-        let mut model: BTreeMap<u32, f64> = [(70, 0.5), (75, 0.25), (600, 0.9)].into();
-        // (tid, Some(prob) = upsert | None = remove); drives chunk 1
-        // across the positional cutoff and back, prepends chunk 0,
-        // appends chunk 12, empties chunk 9.
-        let ops: Vec<(u32, Option<f64>)> = (64..64 + 20)
-            .map(|t| (t, Some(0.5 + t as f64 / 1000.0)))
-            .chain([
-                (3, Some(0.125)),
-                (800, Some(0.75)),
-                (600, None),
-                (75, Some(0.3)),
-                (70, None),
-                (1, Some(1.0)),
-                (999, None), // absent: no-op
-            ])
-            .chain((64..64 + 18).map(|t| (t, None)))
-            .collect();
-        for (tid, op) in ops {
-            match op {
-                Some(p) => {
-                    v.insert(tid, p);
-                    model.insert(tid, p);
-                }
-                None => {
-                    assert_eq!(v.remove(tid), model.remove(&tid).is_some(), "remove {tid}");
-                }
-            }
-            let pairs: Vec<(u32, f64)> = model.iter().map(|(&t, &p)| (t, p)).collect();
-            let rebuilt = build(&pairs);
-            assert_same_layout(&v, &rebuilt, "after point update");
-            for (&t, &p) in &model {
-                assert_eq!(v.get(t).to_bits(), p.to_bits(), "get({t})");
-            }
-            assert_eq!(v.get(4096), 0.0);
-        }
-    }
-
     /// `apply_step` maintains the index byte-identically to a rebuild:
     /// every item's postings match a from-scratch `build` over the stepped
     /// window's snapshot — including steps that wrap the ring and steps
@@ -3041,7 +2875,8 @@ mod tests {
     /// Batched point updates keep the canonical layout and the retained
     /// block partials bit-exact across chunk creation/removal, cutoff
     /// crossings in both directions, multi-block vectors, no-op removals
-    /// and full expiry of a block.
+    /// and full expiry of a block — for wide batches and for a run of
+    /// single-entry ones alike.
     #[test]
     fn tid_delta_patches_match_cold_rebuild() {
         use std::collections::BTreeMap;
@@ -3090,12 +2925,30 @@ mod tests {
         let refill: Vec<(u32, f64)> = (0..200u32).map(|t| (t * 3, 0.6)).collect();
         check_tid_delta(&mut v, &mut model, &mut moments, &refill, "refill");
 
-        // `remove` is the single-point twin.
-        assert!(v.remove(0));
-        assert!(!v.remove(1));
-        model.remove(&0);
-        let pairs: Vec<(u32, f64)> = model.iter().map(|(&t, &p)| (t, p)).collect();
-        assert_same_layout(&v, &build(&pairs), "remove");
+        // Single-entry batches, one point at a time: drive chunk 1 across
+        // the positional cutoff and back, prepend chunk 0, append chunk
+        // 12, empty chunk 9, overwrite, and remove an absent tid.
+        let seed = [(70, 0.5), (75, 0.25), (600, 0.9)];
+        let mut v = build(&seed);
+        let mut model: BTreeMap<u32, f64> = seed.into();
+        let mut moments = BlockMoments::of(&v);
+        let points: Vec<(u32, f64)> = (64..64 + 20)
+            .map(|t| (t, 0.5 + t as f64 / 1000.0))
+            .chain([
+                (3, 0.125),
+                (800, 0.75),
+                (600, 0.0),
+                (75, 0.3),
+                (70, 0.0),
+                (1, 1.0),
+                (999, 0.0), // absent: no-op
+            ])
+            .chain((64..64 + 18).map(|t| (t, 0.0)))
+            .collect();
+        for point in points {
+            let label = format!("point {point:?}");
+            check_tid_delta(&mut v, &mut model, &mut moments, &[point], &label);
+        }
     }
 
     /// The block-recording diff-extend matches its plain twin bit for bit

@@ -1,7 +1,7 @@
 //! ASCII line charts for the experiment harness.
 //!
 //! The paper's figures are log-scale line plots; the harness reproduces
-//! their *shape* directly in the terminal so EXPERIMENTS.md can show
+//! their *shape* directly in the terminal, so a harness run shows
 //! curve-vs-curve comparisons without a plotting stack. One chart holds
 //! several named series over a shared categorical x axis (the sweep
 //! points), rendered on a log-10 y grid.

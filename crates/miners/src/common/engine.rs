@@ -275,8 +275,9 @@ pub trait SupportEngine {
     /// for the patch walk.
     ///
     /// Returns `false` when the backend holds no mutable copy of the data
-    /// (the horizontal scan borrows the caller's database) — the caller
-    /// must then rebuild the engine over the new window snapshot.
+    /// (the horizontal scan borrows the caller's database), so the step
+    /// could not be applied. The incremental miner builds only backends
+    /// that return `true`.
     fn apply_window_step(
         &mut self,
         step: &WindowStep,

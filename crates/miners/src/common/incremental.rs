@@ -381,11 +381,6 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
         &self.window
     }
 
-    /// The sliding window (mutations accumulate until the next refresh).
-    pub fn window_mut(&mut self) -> &mut WindowedDatabase {
-        &mut self.window
-    }
-
     /// Appends a transaction ([`WindowedDatabase::append`]); the change
     /// takes effect at the next [`IncrementalMiner::refresh`].
     pub fn append(&mut self, t: Transaction) -> u32 {
@@ -452,13 +447,10 @@ impl<M: FrequentnessMeasure> IncrementalMiner<M> {
         // memo_rebuilt), merged into the refresh's stats below.
         let mut step_stats = MinerStats::default();
         if let Some(engine) = self.engine.as_mut() {
-            if !engine.apply_window_step(&step, &probe, &mut step_stats) {
-                // The backend declined delta maintenance: rebuild it over
-                // the stepped snapshot (still cheaper than re-mining — the
-                // tracker's reuse survives a rebuild).
-                *engine = owned_engine(self.kind, &self.window.snapshot())
-                    .expect("owned backends accept window steps");
-            }
+            // `owned_engine` builds only backends that keep their own copy
+            // of the data, and those always accept the step.
+            let applied = engine.apply_window_step(&step, &probe, &mut step_stats);
+            debug_assert!(applied, "owned backends accept window steps");
         }
         let mut result = match self.engine.as_mut() {
             Some(engine) => refresh_levels(

@@ -34,20 +34,6 @@ const CHUNK: usize = SUM_BLOCK_TIDS;
 /// threads (shared with the vertical backend's candidate fan-out).
 const PAR_MIN_WORK: usize = ufim_core::parallel::DEFAULT_MIN_WORK;
 
-/// Generic pass: calls `f(candidate_index, q)` for every
-/// (transaction, contained candidate) pair with containment probability `q`.
-pub fn scan_with<F: FnMut(u32, f64)>(
-    db: &UncertainDatabase,
-    trie: &CandidateTrie,
-    stats: &mut MinerStats,
-    mut f: F,
-) {
-    stats.scans += 1;
-    for t in db.transactions() {
-        trie.for_each_contained(t.items(), t.probs(), &mut f);
-    }
-}
-
 /// One level's candidates packed into a trie, reused across every statistic
 /// the level needs.
 pub struct LevelScan<'a> {

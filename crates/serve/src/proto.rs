@@ -67,10 +67,11 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is a whole number.
+    /// The value as a non-negative integer, if it is a whole number below
+    /// 2^64 (larger ones are rejected, not saturated).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            Json::Num(x) if *x >= 0.0 && *x < 2f64.powi(64) && x.fract() == 0.0 => Some(*x as u64),
             _ => None,
         }
     }
@@ -445,13 +446,29 @@ fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("missing number field '{key}'"))
 }
 
-fn opt_usize(obj: &Json, key: &str) -> Result<Option<usize>, String> {
+fn opt_u64(obj: &Json, key: &str) -> Result<Option<u64>, String> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => v
             .as_u64()
-            .map(|n| Some(n as usize))
+            .map(Some)
             .ok_or_else(|| format!("field '{key}' must be a non-negative integer")),
+    }
+}
+
+fn opt_usize(obj: &Json, key: &str) -> Result<Option<usize>, String> {
+    Ok(opt_u64(obj, key)?.map(|n| n as usize))
+}
+
+/// The generator scale: absent or `null` is the full size, anything else
+/// must be a number in `(0, 1]` (the generators panic outside it).
+fn opt_scale(obj: &Json) -> Result<f64, String> {
+    match obj.get("scale") {
+        None | Some(Json::Null) => Ok(1.0),
+        Some(v) => v
+            .as_f64()
+            .filter(|&x| x > 0.0 && x <= 1.0)
+            .ok_or_else(|| "field 'scale' must be a number in (0, 1]".to_string()),
     }
 }
 
@@ -482,8 +499,8 @@ impl Request {
             "load" => Ok(Request::Load {
                 name: req_str(&obj, "name")?,
                 benchmark: req_str(&obj, "benchmark")?,
-                scale: obj.get("scale").and_then(Json::as_f64).unwrap_or(1.0),
-                seed: obj.get("seed").and_then(Json::as_u64).unwrap_or(42),
+                scale: opt_scale(&obj)?,
+                seed: opt_u64(&obj, "seed")?.unwrap_or(42),
             }),
             "sweep" => {
                 let thresholds = obj
@@ -694,6 +711,50 @@ mod tests {
             let err = probe(bad).unwrap_err();
             assert!(err.contains("item ids"), "{bad}: {err}");
         }
+    }
+
+    #[test]
+    fn load_scale_and_seed_are_validated_not_defaulted() {
+        let load = |fields: &str| {
+            Request::parse(&format!(
+                r#"{{"op":"load","name":"x","benchmark":"kosarak"{fields}}}"#
+            ))
+        };
+        let parsed = |fields: &str| match load(fields) {
+            Ok(Request::Load { scale, seed, .. }) => (scale, seed),
+            other => panic!("{fields}: {other:?}"),
+        };
+        // Absent or null fields keep their defaults.
+        assert_eq!(parsed(""), (1.0, 42));
+        assert_eq!(parsed(r#","scale":null,"seed":null"#), (1.0, 42));
+        assert_eq!(parsed(r#","scale":0.001,"seed":0"#), (0.001, 0));
+        assert_eq!(parsed(r#","scale":1,"seed":7"#), (1.0, 7));
+        assert_eq!(parsed(r#","scale":5e-324"#).0, 5e-324);
+        // A scale outside (0, 1], non-finite or not a number is rejected.
+        for bad in [
+            "-1",
+            "0",
+            "-0",
+            "1.0000001",
+            "2",
+            "1e400",
+            "-1e400",
+            r#""abc""#,
+            "true",
+            "[0.5]",
+        ] {
+            let err = load(&format!(r#","scale":{bad}"#)).unwrap_err();
+            assert!(err.contains("'scale'"), "scale {bad}: {err}");
+        }
+        // A seed must be an integer in 0..2^64.
+        for bad in ["-1", "1.5", "1e400", "1e30", r#""abc""#, "false"] {
+            let err = load(&format!(r#","seed":{bad}"#)).unwrap_err();
+            assert!(err.contains("'seed'"), "seed {bad}: {err}");
+        }
+        assert_eq!(
+            parsed(r#","seed":18446744073709549568"#).1,
+            18446744073709549568
+        );
     }
 
     #[test]

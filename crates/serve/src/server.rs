@@ -844,6 +844,38 @@ mod tests {
     }
 
     #[test]
+    fn bad_load_scale_or_seed_is_an_error_not_a_crash_or_a_default() {
+        let valid = [
+            r#"{"op":"probe","dataset":"t1","measure":"esup","min_sup":0.5,"pft":0.7,"itemset":[0,2]}"#,
+            r#"{"op":"stats"}"#,
+        ];
+        for (fields, field) in [
+            (r#""scale":-1"#, "scale"),
+            (r#""scale":0"#, "scale"),
+            (r#""scale":1e400"#, "scale"),
+            (r#""scale":"abc""#, "scale"),
+            (r#""seed":-1"#, "seed"),
+            (r#""seed":"abc""#, "seed"),
+        ] {
+            let core = core_with_table1();
+            let resp = core.handle_line(&format!(
+                r#"{{"op":"load","name":"x","benchmark":"kosarak",{fields}}}"#
+            ));
+            let v = Json::parse(&resp).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{resp}");
+            let error = v.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(field), "{fields}: {error}");
+            // Nothing was loaded, and the next valid requests answer
+            // exactly as on a fresh core.
+            assert!(core.dataset("x").is_none(), "{fields}");
+            let fresh = core_with_table1();
+            for line in valid {
+                assert_eq!(core.handle_line(line), fresh.handle_line(line), "{fields}");
+            }
+        }
+    }
+
+    #[test]
     fn mine_depth_first_is_always_cold_and_errors_cleanly() {
         let core = core_with_table1();
         let resp = core.handle_line(

@@ -41,15 +41,6 @@ impl Complex64 {
         }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex64 {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Squared magnitude `|z|²`.
     #[inline]
     pub fn norm_sqr(self) -> f64 {
@@ -150,7 +141,8 @@ mod tests {
     #[test]
     fn conj_and_norm() {
         let z = Complex64::new(3.0, 4.0);
-        assert_eq!(z.conj(), Complex64::new(3.0, -4.0));
+        // z · z̄ = |z|²
+        assert_eq!(z * Complex64::new(3.0, -4.0), Complex64::new(25.0, 0.0));
         assert_eq!(z.norm_sqr(), 25.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.scale(2.0), Complex64::new(6.0, 8.0));

@@ -6,17 +6,18 @@
 //!
 //! Two engines are provided: a naive `O(n·m)` product-sum and an FFT-based
 //! `O((n+m) log (n+m))` path. [`convolve`] picks one by size; the crossover
-//! constant was chosen by the `stats_pb` Criterion bench (see EXPERIMENTS.md,
-//! ablation A-1). Both support a *saturating* mode where index `cap` is a
-//! "`≥ cap`" bucket, which lets the exact miners truncate PMFs at the support
-//! threshold without losing tail mass.
+//! constant was chosen by the `conv_crossover` group of the `stats_pb`
+//! Criterion bench (ablation A-1; numbers at [`FFT_CROSSOVER`]). Both
+//! support a *saturating* mode where index `cap` is a "`≥ cap`" bucket,
+//! which lets the exact miners truncate PMFs at the support threshold
+//! without losing tail mass.
 
 use crate::complex::Complex64;
 use crate::fft::{fft_in_place, ifft_in_place, next_pow2, Direction};
 
 /// Below this output size the naive convolution wins; above it, FFT.
-/// Tuned with `cargo bench --bench stats_pb` (conv_crossover group; see
-/// EXPERIMENTS.md ablation A-1): measured on this implementation, naive
+/// Tuned with `cargo bench -p ufim-bench --bench stats_pb` (group
+/// `conv_crossover`, ablation A-1): measured on this implementation, naive
 /// still wins at 511-point outputs (15 µs vs 23 µs) and the curves cross
 /// right around 1023 points (51.0 µs vs 51.3 µs).
 pub const FFT_CROSSOVER: usize = 1024;

@@ -22,28 +22,25 @@
 //! provides the iterative radix-2 transform used for PMF convolution, and
 //! [`normal`]/[`gamma`] provide the special functions (`erf`, regularized
 //! incomplete gamma) behind the approximations.
+//!
+//! Beside the kernels the miners run sit the slow, independently derived
+//! references the tests check them against: [`pb::pmf_exact`],
+//! [`fft::dft_naive`] and [`poisson::poisson_survival_direct`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod binomial;
 pub mod chernoff;
 pub mod complex;
 pub mod conv;
-pub mod dft_cf;
 pub mod fft;
 pub mod gamma;
 pub mod normal;
 pub mod pb;
 pub mod poisson;
 
-pub use binomial::{binomial_survival, detect_constant};
 pub use chernoff::{chernoff_prunable, chernoff_upper_bound};
 pub use complex::Complex64;
-pub use dft_cf::{pmf_dft_cf, survival_dft_cf};
 pub use normal::{normal_cdf, normal_survival_with_continuity};
-pub use pb::{
-    pmf_divide_conquer, pmf_exact, support_moments, survival_dp, survival_from_pmf,
-    SupportDistribution,
-};
+pub use pb::{pmf_divide_conquer, pmf_exact, support_moments, survival_dp, survival_from_pmf};
 pub use poisson::{poisson_lambda_for_survival, poisson_survival};

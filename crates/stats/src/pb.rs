@@ -9,9 +9,12 @@
 //! |---|---|---|
 //! | [`survival_dp`] (threshold-truncated DP) | `O(M · msup)` | DP algorithm (§3.2.1) |
 //! | [`pmf_divide_conquer`] (+ FFT convolution) | `O(M log M)` | DC algorithm (§3.2.2) |
-//! | [`pmf_exact`] (dense DP) | `O(M²)` | brute-force oracle, tests |
+//! | [`pmf_exact`] (dense DP) | `O(M²)` | test reference only |
 //!
-//! plus the two-moment summary [`support_moments`] feeding the Normal
+//! The two exact miners run only the first two kernels; [`pmf_exact`] is
+//! the independently derived reference the others are checked against.
+//! [`survival_from_pmf`] reads `Pr{sup ≥ msup}` off any of these PMFs, and
+//! [`support_moments`] is the two-moment summary feeding the Normal
 //! approximation.
 
 use crate::conv::{convolve, convolve_saturating, fold_tail};
@@ -132,58 +135,6 @@ pub fn survival_from_pmf(pmf: &[f64], msup: usize) -> f64 {
         return 0.0;
     }
     pmf[msup..].iter().sum::<f64>().clamp(0.0, 1.0)
-}
-
-/// A computed support distribution bundling the PMF with its provenance,
-/// convenient for the oracle and the DC miner.
-#[derive(Clone, Debug)]
-pub struct SupportDistribution {
-    pmf: Vec<f64>,
-    /// `Some(c)` when index `c` is a "`≥ c`" bucket.
-    saturated_at: Option<usize>,
-}
-
-impl SupportDistribution {
-    /// Exact distribution via dense DP.
-    pub fn exact(probs: &[f64]) -> Self {
-        SupportDistribution {
-            pmf: pmf_exact(probs),
-            saturated_at: None,
-        }
-    }
-
-    /// Distribution via divide-and-conquer, optionally saturated.
-    pub fn divide_conquer(probs: &[f64], cap: Option<usize>) -> Self {
-        SupportDistribution {
-            pmf: pmf_divide_conquer(probs, cap),
-            saturated_at: cap.filter(|&c| c < probs.len()),
-        }
-    }
-
-    /// The PMF values (`index c` is `Pr{sup ≥ c}` when saturated at `c`).
-    pub fn pmf(&self) -> &[f64] {
-        &self.pmf
-    }
-
-    /// Saturation point, if any.
-    pub fn saturated_at(&self) -> Option<usize> {
-        self.saturated_at
-    }
-
-    /// `Pr{sup ≥ msup}`.
-    ///
-    /// # Panics
-    /// Panics if the distribution is saturated below `msup` (the tail beyond
-    /// the saturation point is not resolvable).
-    pub fn survival(&self, msup: usize) -> f64 {
-        if let Some(c) = self.saturated_at {
-            assert!(
-                msup <= c,
-                "distribution saturated at {c} cannot answer survival at {msup}"
-            );
-        }
-        survival_from_pmf(&self.pmf, msup)
-    }
 }
 
 #[cfg(test)]
@@ -309,29 +260,18 @@ mod tests {
     }
 
     #[test]
-    fn distribution_wrapper_exact() {
-        let probs = [0.2, 0.8, 0.5];
-        let d = SupportDistribution::exact(&probs);
-        assert_eq!(d.pmf().len(), 4);
-        assert_eq!(d.saturated_at(), None);
-        assert!((d.survival(0) - 1.0).abs() < EPS);
-        assert!((d.survival(1) - survival_dp(&probs, 1)).abs() < EPS);
-    }
-
-    #[test]
-    fn distribution_wrapper_saturated() {
+    fn saturated_divide_conquer_survival_up_to_cap() {
+        // A PMF saturated at `cap` answers every threshold up to the cap
+        // through `survival_from_pmf`, bucket `cap` included.
         let probs: Vec<f64> = vec![0.5; 100];
-        let d = SupportDistribution::divide_conquer(&probs, Some(10));
-        assert_eq!(d.saturated_at(), Some(10));
-        assert!((d.survival(10) - survival_dp(&probs, 10)).abs() < 1e-9);
-        assert!((d.survival(3) - survival_dp(&probs, 3)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "saturated at")]
-    fn distribution_wrapper_rejects_beyond_cap() {
-        let d = SupportDistribution::divide_conquer(&vec![0.5; 100], Some(10));
-        d.survival(11);
+        let cap = 10;
+        let pmf = pmf_divide_conquer(&probs, Some(cap));
+        assert_eq!(pmf.len(), cap + 1);
+        for msup in 0..=cap {
+            let want = survival_dp(&probs, msup);
+            let got = survival_from_pmf(&pmf, msup);
+            assert!((got - want).abs() < 1e-9, "msup={msup}: {got} vs {want}");
+        }
     }
 
     #[test]
@@ -341,7 +281,7 @@ mod tests {
         let probs = vec![0.5; 20];
         let want = 0.5 + 184_756.0 / 2f64.powi(21);
         assert!((survival_dp(&probs, 10) - want).abs() < 1e-12);
-        let d = SupportDistribution::divide_conquer(&probs, None);
-        assert!((d.survival(10) - want).abs() < 1e-12);
+        let pmf = pmf_divide_conquer(&probs, None);
+        assert!((survival_from_pmf(&pmf, 10) - want).abs() < 1e-12);
     }
 }
